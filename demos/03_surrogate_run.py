@@ -23,9 +23,7 @@ while not opt.budget.exhausted:
     if report.generation % 100 == 0:
         print(f"{report.generation:>10} {opt.budget.used:>10} {report.f_best:>12.4e}")
 
-record = opt.record
-record.final_x = opt.context.x
-record.final_f = opt.context.f
+record = opt.finish()
 print(f"\nfinal value: {record.final_f:.4e}")
 print(f"real evaluations in the loop: {record.loop_real_evals} "
       f"out of {record.loop_trials} trials "

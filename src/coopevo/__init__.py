@@ -22,7 +22,7 @@ from .benchmarks import (
     make_suite,
     suite_manifest,
 )
-from .decomposition import Decomposition, SubProblem, embed, extract, ideal_decompose
+from .decomposition import Decomposition, SubProblem, embed, ideal_decompose
 from .harness import (
     ExperimentConfig,
     SummaryRow,
@@ -39,12 +39,14 @@ from .runtime import (
     AuditFailure,
     BudgetExhausted,
     ContextState,
+    CooperativeRun,
     FeBudget,
     RunParams,
     RunRecord,
+    real_fitness,
     real_improvement,
 )
-from .shade import InferiorArchive, ParameterMemory, mutate_crossover, sample_params
+from .shade import InferiorArchive, ParameterMemory, generate_trials, mutate_crossover, sample_params
 from .shade_cc import ShadeCC
 from .surrogate_cc import SurrogateCC, initialization_cost
 
@@ -54,6 +56,7 @@ __all__ = [
     "BenchmarkFunction",
     "BudgetExhausted",
     "ContextState",
+    "CooperativeRun",
     "Decomposition",
     "ExperimentConfig",
     "FeBudget",
@@ -75,8 +78,8 @@ __all__ = [
     "effect_label",
     "embed",
     "export_convergence",
-    "extract",
     "fes_to_match",
+    "generate_trials",
     "get_function",
     "ideal_decompose",
     "initialization_cost",
@@ -84,6 +87,7 @@ __all__ = [
     "make_suite",
     "mean_curve",
     "mutate_crossover",
+    "real_fitness",
     "real_improvement",
     "run_experiment",
     "sample_params",

@@ -263,6 +263,8 @@ _SUITE_LAYOUT = [
     ("f18", None, "rosenbrock", 20, 1.0),
 ]
 
+FUNCTION_IDS = tuple(layout[0] for layout in _SUITE_LAYOUT)
+
 
 def build_function(
     fid: str,

@@ -15,6 +15,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -29,10 +30,7 @@ from .harness import (
     run_experiment,
 )
 
-_CONFIG_FIELDS = (
-    "functions", "dim", "algorithm", "budget", "runs", "seed", "s_sep",
-    "p", "q", "d_factor", "memory_size", "visit_len", "suite_seed", "out",
-)
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, with_algorithm: bool):
@@ -80,7 +78,6 @@ def _build_config(args: argparse.Namespace, default_algorithm: str | None = None
     missing = [k for k in ("functions", "dim", "algorithm", "budget") if k not in values]
     if missing:
         raise ValueError(f"missing required settings: {missing}")
-    values["functions"] = tuple(values["functions"])
     return ExperimentConfig(**values)
 
 

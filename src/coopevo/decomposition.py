@@ -108,8 +108,3 @@ def embed(context: np.ndarray, sub: SubProblem, x_g: np.ndarray) -> np.ndarray:
     out = np.array(context, dtype=float, copy=True)
     out[sub.indices] = x_g
     return out
-
-
-def extract(x: np.ndarray, sub: SubProblem) -> np.ndarray:
-    """The sub-vector of ``x`` owned by ``sub``."""
-    return np.asarray(x, dtype=float)[sub.indices].copy()

@@ -26,13 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmarks import BenchmarkFunction, get_function
+from .benchmarks import FUNCTION_IDS, BenchmarkFunction, get_function
 from .decomposition import Decomposition, ideal_decompose
 from .runtime import RunParams, RunRecord
 from .shade_cc import ShadeCC
 from .surrogate_cc import SurrogateCC
 
-ALGORITHMS = ("sacc", "shade-cc")
+OPTIMIZERS = {cls.algorithm: cls for cls in (SurrogateCC, ShadeCC)}
+ALGORITHMS = tuple(OPTIMIZERS)
 
 OUTDIR_ENV = "COOPEVO_OUTDIR"
 
@@ -59,8 +60,14 @@ class ExperimentConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if isinstance(self.functions, str):
+            raise ValueError("functions must be a list of ids, not a single string")
+        object.__setattr__(self, "functions", tuple(self.functions))
         if not self.functions:
             raise ValueError("at least one function id required")
+        unknown = [fid for fid in self.functions if fid not in FUNCTION_IDS]
+        if unknown:
+            raise ValueError(f"unknown function ids {unknown}")
         # RunParams validates the optimizer parameters
         self.run_params()
 
@@ -127,10 +134,7 @@ def run_single(
     decomp: Decomposition,
     seed: int,
 ) -> RunRecord:
-    params = config.run_params()
-    if config.algorithm == "sacc":
-        return SurrogateCC(fn, decomp, params, seed).run()
-    return ShadeCC(fn, decomp, params, seed).run()
+    return OPTIMIZERS[config.algorithm](fn, decomp, config.run_params(), seed).run()
 
 
 def mean_curve(records: list[RunRecord]) -> np.ndarray:
@@ -305,8 +309,7 @@ def compare_algorithms(config: ExperimentConfig) -> dict:
         result[algorithm] = run_experiment(cfg)
     rows = []
     for fid in config.functions:
-        a = result["sacc"].summary_for(fid)
-        b = result["shade-cc"].summary_for(fid)
+        a, b = (result[algorithm].summary_for(fid) for algorithm in ALGORITHMS)
         d, label = cohens_d(a.mean, a.std, b.mean, b.std)
         rows.append(
             {

@@ -110,14 +110,6 @@ class TrainingArchive:
             raise ValueError("rebase delta must be positive")
         self.values = self.values - delta
 
-    def debug_dump(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "points": self.points.tolist(),
-            "values": self.values.tolist(),
-            "ticks": self.ticks.tolist(),
-        }
-
 
 @dataclass
 class RbfModel:
@@ -149,15 +141,6 @@ class RbfModel:
         z = self._scale(xs)
         radial = cdist(z, self.centers) ** 3 @ self.omega
         return radial + z @ self.beta + self.alpha
-
-    def debug_dump(self) -> dict:
-        return {
-            "omega": self.omega.tolist(),
-            "beta": self.beta.tolist(),
-            "alpha": self.alpha,
-            "centers": self.centers.tolist(),
-            "regularized": self.regularized,
-        }
 
 
 INTERP_RTOL = 1e-6  # accepted relative residual at the training samples

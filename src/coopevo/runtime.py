@@ -1,4 +1,5 @@
-"""Shared run-time pieces: evaluation budget, context vector, run records."""
+"""Shared run-time pieces: evaluation budget, context vector, run records,
+and the cooperative run loop both optimizers are built on."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import BenchmarkFunction
-from .decomposition import SubProblem, embed
+from .decomposition import Decomposition, SubProblem, embed
 
 
 class BudgetExhausted(RuntimeError):
@@ -33,10 +34,6 @@ class FeBudget:
     def exhausted(self) -> bool:
         return self.used >= self.max_fe
 
-    @property
-    def remaining(self) -> int:
-        return self.max_fe - self.used
-
     def spend(self):
         if self.exhausted:
             raise BudgetExhausted(f"all {self.max_fe} evaluations used")
@@ -52,6 +49,19 @@ class ContextState:
     version: int = 0
 
 
+def real_fitness(
+    fn: BenchmarkFunction,
+    budget: FeBudget,
+    context: ContextState,
+    sub: SubProblem,
+    x_g: np.ndarray,
+) -> float:
+    """Real fitness of ``x_g`` embedded into the context; one budgeted
+    evaluation."""
+    budget.spend()
+    return fn(embed(context.x, sub, x_g))
+
+
 def real_improvement(
     fn: BenchmarkFunction,
     budget: FeBudget,
@@ -61,8 +71,7 @@ def real_improvement(
 ) -> float:
     """Fitness gain of embedding ``x_g`` into the context; one budgeted
     evaluation. Positive means the embedded solution beats the context."""
-    budget.spend()
-    return context.f - fn(embed(context.x, sub, x_g))
+    return context.f - real_fitness(fn, budget, context, sub, x_g)
 
 
 @dataclass(frozen=True)
@@ -113,7 +122,7 @@ class RunRecord:
     function_id: str
     n: int
     seed: int
-    params: dict
+    params: RunParams
     rows: list[GenRow] = field(default_factory=list)
     final_x: np.ndarray | None = None
     final_f: float = float("nan")
@@ -143,14 +152,73 @@ class RunRecord:
                     [row.generation, row.sub_id, row.fe_used, repr(row.f_best)]
                 )
 
-    @staticmethod
-    def read_csv(path: str | Path) -> list[GenRow]:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader)
-            if tuple(header) != RunRecord.HEADER:
-                raise ValueError(f"unexpected trace header {header}")
-            return [
-                GenRow(int(g), int(sid), int(fe), float(fb))
-                for g, sid, fe, fb in reader
-            ]
+
+class CooperativeRun:
+    """Scaffolding of one seeded cooperative-coevolution run.
+
+    Owns everything both optimizers share: the dimension check, the
+    evaluation budget, the seed streams (``rng`` for the run, ``sub_rngs[g]``
+    per sub-problem), the charged random context vector, the round-robin
+    ``cursor``, the ``generation`` count and the run record. Subclasses set
+    ``algorithm`` and add their evaluation policy.
+    """
+
+    algorithm: str
+
+    def __init__(
+        self,
+        fn: BenchmarkFunction,
+        decomposition: Decomposition,
+        params: RunParams,
+        seed: int,
+    ):
+        if decomposition.n != fn.n:
+            raise ValueError("decomposition does not match function dimension")
+        self.fn = fn
+        self.decomposition = decomposition
+        self.params = params
+        self.seed = seed
+        self.budget = FeBudget(params.max_fe)
+
+        streams = np.random.SeedSequence(seed).spawn(decomposition.k + 1)
+        self.rng = np.random.default_rng(streams[0])
+        self.sub_rngs = [np.random.default_rng(s) for s in streams[1:]]
+
+        x0 = self.rng.uniform(fn.lower, fn.upper)
+        self.budget.spend()
+        self.context = ContextState(x0, fn(x0))
+
+        self.cursor = 0
+        self.generation = 0
+        self.record = RunRecord(
+            algorithm=self.algorithm,
+            function_id=fn.fid,
+            n=fn.n,
+            seed=seed,
+            params=params,
+            decomposition=decomposition.to_dict(),
+        )
+
+    def add_row(self, sub_id: int, f_best: float):
+        """Trace the current generation, budget use and best value."""
+        self.record.add_row(self.generation, sub_id, self.budget.used, f_best)
+
+    def close_generation(self, sub_id: int, real_evals: int, f_best: float):
+        """Count one finished generation of ``p`` trials and trace it."""
+        self.generation += 1
+        self.record.loop_trials += self.params.p
+        self.record.loop_real_evals += real_evals
+        self.add_row(sub_id, f_best)
+
+    def adopt(self, sub: SubProblem, x_g: np.ndarray, f: float):
+        """Embed ``x_g`` into the context, whose real fitness becomes ``f``."""
+        self.context.x = embed(self.context.x, sub, x_g)
+        self.context.f = f
+        self.context.version += 1
+        self.record.context_updates += 1
+
+    def finish(self) -> RunRecord:
+        """Store the final context in the record and return it."""
+        self.record.final_x = self.context.x.copy()
+        self.record.final_f = self.context.f
+        return self.record

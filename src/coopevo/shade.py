@@ -157,6 +157,36 @@ def mutate_crossover(
     return u
 
 
+def generate_trials(
+    pop: np.ndarray,
+    scores: np.ndarray,
+    inferior: InferiorArchive,
+    memory: ParameterMemory,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One trial vector per population member, in member order.
+
+    Each member draws its (F, CR) pair, then its elite fraction, then its
+    trial vector, all from the one ``rng``. Returns (trials, F, CR) with the
+    control parameters each trial was made with.
+    """
+    p = pop.shape[0]
+    trials = np.empty_like(pop)
+    f_used = np.empty(p)
+    cr_used = np.empty(p)
+    for i in range(p):
+        f_i, cr_i = sample_params(memory, rng)
+        frac = pbest_fraction(p, rng)
+        trials[i] = mutate_crossover(
+            pop, scores, inferior.slots, i, f_i, cr_i, frac, lower, upper, rng
+        )
+        f_used[i] = f_i
+        cr_used[i] = cr_i
+    return trials, f_used, cr_used
+
+
 def select_best(values: np.ndarray, q: int) -> np.ndarray:
     """Indices of the q largest values; ties resolved to the lower index."""
     order = np.argsort(-values, kind="stable")

@@ -7,6 +7,11 @@ selected sub-problem is optimized for a fixed number of consecutive
 generations per visit, and its population is re-evaluated against the
 current context whenever the visit starts; both costs are charged to the
 evaluation budget.
+
+This module holds only that evaluation policy (full evaluation, per-visit
+re-evaluation and the end-of-visit harvest); seeding, budget, context and
+run record come from ``runtime.CooperativeRun`` and the trial vectors from
+``shade.generate_trials``, exactly as in the surrogate-assisted optimizer.
 """
 
 from __future__ import annotations
@@ -16,15 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import BenchmarkFunction
-from .decomposition import Decomposition, SubProblem, embed
-from .runtime import ContextState, FeBudget, RunParams, RunRecord
-from .shade import (
-    InferiorArchive,
-    ParameterMemory,
-    mutate_crossover,
-    pbest_fraction,
-    sample_params,
-)
+from .decomposition import Decomposition, SubProblem
+from .runtime import CooperativeRun, RunParams, RunRecord, real_fitness
+from .shade import InferiorArchive, ParameterMemory, generate_trials
 
 
 @dataclass
@@ -38,8 +37,10 @@ class CcSubState:
     rng: np.random.Generator
 
 
-class ShadeCC:
+class ShadeCC(CooperativeRun):
     """One seeded run of the traditional cooperative coevolution baseline."""
+
+    algorithm = "shade-cc"
 
     def __init__(
         self,
@@ -48,25 +49,10 @@ class ShadeCC:
         params: RunParams,
         seed: int,
     ):
-        if decomposition.n != fn.n:
-            raise ValueError("decomposition does not match function dimension")
-        self.fn = fn
-        self.decomposition = decomposition
-        self.params = params
-        self.seed = seed
-        self.budget = FeBudget(params.max_fe)
-
-        streams = np.random.SeedSequence(seed).spawn(decomposition.k + 1)
-        self.rng = np.random.default_rng(streams[0])
-
-        x0 = self.rng.uniform(fn.lower, fn.upper)
-        self.budget.spend()
-        self.context = ContextState(x0, fn(x0))
-
+        super().__init__(fn, decomposition, params, seed)
         p = params.p
         self.subs: list[CcSubState] = []
-        for g, sub in enumerate(decomposition.subproblems):
-            rng = np.random.default_rng(streams[g + 1])
+        for sub, rng in zip(decomposition.subproblems, self.sub_rngs):
             inferior = InferiorArchive(rng.uniform(sub.lower, sub.upper, (p, sub.s)))
             pop = rng.uniform(sub.lower, sub.upper, (p, sub.s))
             self.subs.append(
@@ -80,27 +66,7 @@ class ShadeCC:
                     rng=rng,
                 )
             )
-
-        self.cursor = 0
-        self.generation = 0
-        self.record = RunRecord(
-            algorithm="shade-cc",
-            function_id=fn.fid,
-            n=fn.n,
-            seed=seed,
-            params={
-                "max_fe": params.max_fe,
-                "p": params.p,
-                "memory_size": params.memory_size,
-                "visit_len": params.visit_len,
-            },
-            decomposition=decomposition.to_dict(),
-        )
-        self.record.add_row(0, -1, self.budget.used, self.context.f)
-
-    def _embedded_fitness(self, sub: SubProblem, x_g: np.ndarray) -> float:
-        self.budget.spend()
-        return self.fn(embed(self.context.x, sub, x_g))
+        self.add_row(-1, self.context.f)
 
     def _visit(self, g: int):
         st = self.subs[g]
@@ -112,31 +78,23 @@ class ShadeCC:
         for i in range(p):
             if self.budget.exhausted:
                 break
-            st.f_vals[i] = self._embedded_fitness(sub, st.pop[i])
+            st.f_vals[i] = real_fitness(self.fn, self.budget, self.context, sub, st.pop[i])
             st.fresh[i] = True
             self.record.reeval_evals += 1
 
         for _ in range(self.params.visit_len):
             if self.budget.exhausted or not st.fresh.all():
                 break
-            trials = np.empty((p, sub.s))
-            f_used = np.empty(p)
-            cr_used = np.empty(p)
-            for i in range(p):
-                f_i, cr_i = sample_params(st.memory, rng)
-                frac = pbest_fraction(p, rng)
-                trials[i] = mutate_crossover(
-                    st.pop, -st.f_vals, st.inferior.slots, i, f_i, cr_i, frac,
-                    sub.lower, sub.upper, rng,
-                )
-                f_used[i] = f_i
-                cr_used[i] = cr_i
+            trials, f_used, cr_used = generate_trials(
+                st.pop, -st.f_vals, st.inferior, st.memory, sub.lower, sub.upper, rng
+            )
 
             evaluated: list[tuple[int, float]] = []
             for i in range(p):
                 if self.budget.exhausted:
                     break
-                evaluated.append((i, self._embedded_fitness(sub, trials[i])))
+                f_u = real_fitness(self.fn, self.budget, self.context, sub, trials[i])
+                evaluated.append((i, f_u))
 
             sf, scr, deltas = [], [], []
             for i, f_u in evaluated:
@@ -150,26 +108,18 @@ class ShadeCC:
                     st.f_vals[i] = f_u
             st.memory.update(np.array(sf), np.array(scr), np.array(deltas))
 
-            self.generation += 1
-            self.record.loop_trials += p
-            self.record.loop_real_evals += len(evaluated)
             f_best = min(self.context.f, float(st.f_vals[st.fresh].min()))
-            self.record.add_row(self.generation, g, self.budget.used, f_best)
+            self.close_generation(g, len(evaluated), f_best)
 
         # harvest: embed the best fresh member if it beats the context
         if st.fresh.any():
             masked = np.where(st.fresh, st.f_vals, np.inf)
             b = int(np.argmin(masked))
             if masked[b] < self.context.f:
-                self.context.x = embed(self.context.x, sub, st.pop[b])
-                self.context.f = float(masked[b])
-                self.context.version += 1
-                self.record.context_updates += 1
+                self.adopt(sub, st.pop[b], float(masked[b]))
 
     def run(self) -> RunRecord:
         while not self.budget.exhausted:
             self._visit(self.cursor)
             self.cursor = (self.cursor + 1) % self.decomposition.k
-        self.record.final_x = self.context.x.copy()
-        self.record.final_f = self.context.f
-        return self.record
+        return self.finish()

@@ -12,6 +12,11 @@ positive improvement, the context vector itself.
 All stored values are fitness improvements relative to the current context;
 whenever the context improves by ``delta``, the affected sub-problem's
 stored improvements are shifted down by ``delta`` so they stay comparable.
+
+This module holds only that evaluation policy (surrogate screening, the
+training archive and the audit); seeding, budget, context and run record
+come from ``runtime.CooperativeRun`` and the trial vectors from
+``shade.generate_trials``, exactly as in the full-evaluation baseline.
 """
 
 from __future__ import annotations
@@ -27,8 +32,7 @@ from .rbf import TrainingArchive, TrainingError, train_surrogate
 from .runtime import (
     AuditFailure,
     BudgetExhausted,
-    ContextState,
-    FeBudget,
+    CooperativeRun,
     RunParams,
     RunRecord,
     real_improvement,
@@ -36,9 +40,7 @@ from .runtime import (
 from .shade import (
     InferiorArchive,
     ParameterMemory,
-    mutate_crossover,
-    pbest_fraction,
-    sample_params,
+    generate_trials,
     select_best,
     two_step_select,
     worst_replacement,
@@ -69,15 +71,10 @@ class GenReport:
     trials: int
     real_evals: int
     success_idx: np.ndarray
-    evaluated_idx: list[int]
     context_updated: bool
     truncated: bool
     fallback: bool
     f_best: float
-
-    @property
-    def successes(self) -> int:
-        return int(self.success_idx.size)
 
 
 def initialization_cost(decomposition: Decomposition, params: RunParams) -> int:
@@ -87,13 +84,15 @@ def initialization_cost(decomposition: Decomposition, params: RunParams) -> int:
     )
 
 
-class SurrogateCC:
+class SurrogateCC(CooperativeRun):
     """One seeded run of the surrogate-assisted optimizer.
 
     ``audit=True`` re-evaluates the context after every context update (not
     charged to the budget) and verifies both the book-kept context fitness
     and a spot-checked stored improvement of an uninvolved sub-problem.
     """
+
+    algorithm = "sacc"
 
     def __init__(
         self,
@@ -104,32 +103,17 @@ class SurrogateCC:
         audit: bool = False,
         log_params: bool = False,
     ):
-        if decomposition.n != fn.n:
-            raise ValueError("decomposition does not match function dimension")
         init_cost = initialization_cost(decomposition, params)
         if params.max_fe < init_cost:
             raise ValueError(
                 f"budget {params.max_fe} below initialization cost {init_cost}"
             )
-
-        self.fn = fn
-        self.decomposition = decomposition
-        self.params = params
-        self.seed = seed
+        super().__init__(fn, decomposition, params, seed)
         self.audit = audit
         self.log_params = log_params
-        self.budget = FeBudget(params.max_fe)
-
-        streams = np.random.SeedSequence(seed).spawn(decomposition.k + 1)
-        self.rng = np.random.default_rng(streams[0])
-
-        x0 = self.rng.uniform(fn.lower, fn.upper)
-        self.budget.spend()
-        self.context = ContextState(x0, fn(x0))
 
         self.subs: list[SubState] = []
-        for g, sub in enumerate(decomposition.subproblems):
-            rng = np.random.default_rng(streams[g + 1])
+        for sub, rng in zip(decomposition.subproblems, self.sub_rngs):
             p = params.p
             d = params.d_factor * sub.s
             inferior = InferiorArchive(rng.uniform(sub.lower, sub.upper, (p, sub.s)))
@@ -154,24 +138,7 @@ class SurrogateCC:
                     rng=rng,
                 )
             )
-
-        self.cursor = 0
-        self.generation = 0
-        self.record = RunRecord(
-            algorithm="sacc",
-            function_id=fn.fid,
-            n=fn.n,
-            seed=seed,
-            params={
-                "max_fe": params.max_fe,
-                "p": params.p,
-                "q": params.q,
-                "d_factor": params.d_factor,
-                "memory_size": params.memory_size,
-            },
-            decomposition=decomposition.to_dict(),
-        )
-        self.record.add_row(0, -1, self.budget.used, self.context.f)
+        self.add_row(-1, self.context.f)
 
     def step(self, predictor: Callable[[np.ndarray], np.ndarray] | None = None) -> GenReport:
         """Run a single generation on the sub-problem under the cursor.
@@ -196,18 +163,9 @@ class SurrogateCC:
             except TrainingError:
                 fallback = True
 
-        f_used = np.empty(p)
-        cr_used = np.empty(p)
-        trials = np.empty((p, sub.s))
-        for i in range(p):
-            f_i, cr_i = sample_params(st.memory, rng)
-            frac = pbest_fraction(p, rng)
-            trials[i] = mutate_crossover(
-                st.pop, st.pop_vals, st.inferior.slots, i, f_i, cr_i, frac,
-                sub.lower, sub.upper, rng,
-            )
-            f_used[i] = f_i
-            cr_used[i] = cr_i
+        trials, f_used, cr_used = generate_trials(
+            st.pop, st.pop_vals, st.inferior, st.memory, sub.lower, sub.upper, rng
+        )
 
         def real_eval(idx: int) -> float | None:
             if self.budget.exhausted:
@@ -246,32 +204,25 @@ class SurrogateCC:
         best = int(np.argmax(st.pop_vals))
         gain = float(st.pop_vals[best])
         if gain > 0.0:
-            self.context.x = embed(self.context.x, sub, st.pop[best])
-            self.context.f -= gain
-            self.context.version += 1
+            self.adopt(sub, st.pop[best], self.context.f - gain)
             st.archive.rebase(gain)
             st.pop_vals -= gain
             context_updated = True
-            self.record.context_updates += 1
             if self.audit:
                 self._run_audit(g)
 
-        self.generation += 1
         self.cursor = (self.cursor + 1) % self.decomposition.k
-        self.record.loop_trials += p
-        self.record.loop_real_evals += len(evaluated)
+        self.close_generation(g, len(evaluated), self.context.f)
         if self.log_params:
             self.record.param_log.append(
                 (self.generation, g, f_used.tolist(), cr_used.tolist())
             )
-        self.record.add_row(self.generation, g, self.budget.used, self.context.f)
         return GenReport(
             generation=self.generation,
             sub_id=g,
             trials=p,
             real_evals=len(evaluated),
             success_idx=successes,
-            evaluated_idx=evaluated,
             context_updated=context_updated,
             truncated=truncated,
             fallback=fallback,
@@ -306,6 +257,4 @@ class SurrogateCC:
         """Step until the evaluation budget is exhausted."""
         while not self.budget.exhausted:
             self.step()
-        self.record.final_x = self.context.x.copy()
-        self.record.final_f = self.context.f
-        return self.record
+        return self.finish()

@@ -172,6 +172,10 @@ def test_config_validation():
         tiny_config(functions=())
     with pytest.raises(ValueError):
         tiny_config(q=100, p=25)
+    with pytest.raises(ValueError):
+        tiny_config(functions="f01")        # a bare string, not a list of ids
+    with pytest.raises(ValueError):
+        tiny_config(functions=("f01", "f99"))
 
 
 def test_run_experiment_writes_complete_output(tmp_path):

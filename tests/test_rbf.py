@@ -199,13 +199,3 @@ def test_rebase_rejects_nonpositive_delta():
         arch.rebase(0.0)
     with pytest.raises(ValueError):
         arch.rebase(-1.0)
-
-
-def test_debug_dumps_are_serializable():
-    import json
-
-    arch = filled_archive([[0.0], [1.0], [2.0]], [0.0, 1.0, 4.0],
-                          lower=[0.0], upper=[2.0])
-    model = train_surrogate(arch)
-    json.dumps(arch.debug_dump())
-    json.dumps(model.debug_dump())

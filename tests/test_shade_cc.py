@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 
 from coopevo.benchmarks import make_separable
 from coopevo.decomposition import ideal_decompose
-from coopevo.runtime import RunParams
+from coopevo.runtime import CooperativeRun, RunParams
 from coopevo.shade_cc import ShadeCC
+from coopevo.surrogate_cc import SurrogateCC
 
 
 def make_cc(dim=10, s_sep=5, seed=1, **kw):
@@ -75,14 +77,27 @@ def test_improves_on_single_block_problem():
 
 
 def test_shares_operator_code_with_surrogate_optimizer():
-    # parity guard: both optimizers must call the very same operator
-    # functions, so the comparison isolates the evaluation policy
+    # parity guard: both optimizers must call the very same trial generator
+    # and run scaffolding, so the comparison isolates the evaluation policy
     import coopevo.shade as shade
     import coopevo.shade_cc as shade_cc
     import coopevo.surrogate_cc as surrogate_cc
 
-    for name in ("mutate_crossover", "sample_params", "pbest_fraction"):
-        assert getattr(shade_cc, name) is getattr(shade, name)
-        assert getattr(surrogate_cc, name) is getattr(shade, name)
+    assert shade_cc.generate_trials is surrogate_cc.generate_trials is shade.generate_trials
+    assert issubclass(ShadeCC, CooperativeRun)
+    assert issubclass(SurrogateCC, CooperativeRun)
     assert shade_cc.ParameterMemory is surrogate_cc.ParameterMemory is shade.ParameterMemory
     assert shade_cc.InferiorArchive is surrogate_cc.InferiorArchive is shade.InferiorArchive
+
+
+@pytest.mark.parametrize("cls", [SurrogateCC, ShadeCC], ids=lambda cls: cls.algorithm)
+def test_shared_start_and_dimension_check(cls):
+    fn, decomp, cc = make_cc(seed=5)
+    opt = cls(fn, decomp, RunParams(max_fe=3000, p=20), seed=5)
+    # the same seed draws the same charged starting context in both optimizers
+    assert np.array_equal(opt.context.x, cc.context.x)
+    assert opt.context.f == cc.context.f
+
+    wider = make_separable("sphere", 20, 5)
+    with pytest.raises(ValueError, match="dimension"):
+        cls(wider, decomp, RunParams(max_fe=3000, p=20), seed=5)
