@@ -153,52 +153,56 @@ class BenchmarkFunction:
             raise ValueError("bounds must have shape (n,)")
         if not (np.all(self.shift > self.lower) and np.all(self.shift < self.upper)):
             raise ValueError("shift must lie strictly inside bounds")
-        rot_iter = iter(self.rotations)
-        for grp, kind in zip(self.structure.groups, self.structure.group_kind):
+        n_rotated = self.structure.group_kind.count(NONSEPARABLE)
+        if len(self.rotations) != n_rotated:
+            raise ValueError(f"{len(self.rotations)} rotations for {n_rotated} nonseparable groups")
+        # one (indices, rotation or None, base, weight) term per group, in group order
+        rotations = iter(self.rotations)
+        terms = []
+        for grp, kind, base, weight in zip(
+            self.structure.groups, self.structure.group_kind, self.bases, self.weights
+        ):
+            if base not in BASES:
+                raise ValueError(f"unknown base {base!r}")
+            rot = None
             if kind == NONSEPARABLE:
-                rot = next(rot_iter, None)
-                if rot is None:
-                    raise ValueError("missing rotation for nonseparable group")
+                rot = next(rotations)
                 m = len(grp)
-                if rot.shape != (m, m):
+                if np.shape(rot) != (m, m):
                     raise ValueError("rotation shape does not match group size")
                 err = np.max(np.abs(rot.T @ rot - np.eye(m)))
                 if err > 1e-10:
                     raise ValueError(f"rotation not orthogonal (err={err:.2e})")
-        if next(rot_iter, None) is not None:
-            raise ValueError("more rotations than nonseparable groups")
+            terms.append((np.asarray(grp, dtype=int), rot, BASES[base], weight))
+        object.__setattr__(self, "_terms", tuple(terms))
 
     def __call__(self, x: np.ndarray) -> float:
         return self.evaluate(x)
 
     def evaluate(self, x: np.ndarray) -> float:
         """Full fitness: sum of all group terms."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        return sum(self.partial_fitness(x, g) for g in range(len(self.structure.groups)))
+        x = self._point(x)
+        return sum(self._term(x, term) for term in self._terms)
 
     def partial_fitness(self, x: np.ndarray, g: int) -> float:
         """Contribution of group ``g`` alone."""
+        x = self._point(x)
+        if not 0 <= g < len(self._terms):
+            raise ValueError(f"group index {g} out of range")
+        return self._term(x, self._terms[g])
+
+    def _point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        if not 0 <= g < len(self.structure.groups):
-            raise ValueError(f"group index {g} out of range")
-        idx = np.asarray(self.structure.groups[g], dtype=int)
-        z = x[idx] - self.shift[idx]
-        if self.structure.group_kind[g] == NONSEPARABLE:
-            rot = self._rotation_for(g)
-            z = rot @ z
-        return self.weights[g] * BASES[self.bases[g]](z)
+        return x
 
-    def _rotation_for(self, g: int) -> np.ndarray:
-        pos = sum(
-            1
-            for k in range(g)
-            if self.structure.group_kind[k] == NONSEPARABLE
-        )
-        return self.rotations[pos]
+    def _term(self, x: np.ndarray, term) -> float:
+        idx, rot, base, weight = term
+        z = x[idx] - self.shift[idx]
+        if rot is not None:
+            z = rot @ z
+        return weight * base(z)
 
     def manifest(self) -> dict:
         """Auditable description of the function (no large matrices)."""
@@ -239,31 +243,32 @@ def _synth_rotation(rng: np.random.Generator, m: int) -> np.ndarray:
     return q
 
 
-# layout of the 18-function suite: (separable base, nonseparable base,
-# number of rotated groups, weight on each rotated group). A group count of
-# -1 means "all variables", i.e. a fully separable function.
-_SUITE_LAYOUT = [
-    ("f01", "elliptic", None, 0, 1.0),
-    ("f02", "rastrigin", None, 0, 1.0),
-    ("f03", "ackley", None, 0, 1.0),
-    ("f04", "elliptic", "elliptic", 1, 1e6),
-    ("f05", "rastrigin", "rastrigin", 1, 1e6),
-    ("f06", "ackley", "ackley", 1, 1e6),
-    ("f07", "sphere", "schwefel12", 1, 1e6),
-    ("f08", "sphere", "rosenbrock", 1, 1e6),
-    ("f09", "elliptic", "elliptic", 10, 1.0),
-    ("f10", "rastrigin", "rastrigin", 10, 1.0),
-    ("f11", "ackley", "ackley", 10, 1.0),
-    ("f12", "sphere", "schwefel12", 10, 1.0),
-    ("f13", "sphere", "rosenbrock", 10, 1.0),
-    ("f14", None, "elliptic", 20, 1.0),
-    ("f15", None, "rastrigin", 20, 1.0),
-    ("f16", None, "ackley", 20, 1.0),
-    ("f17", None, "schwefel12", 20, 1.0),
-    ("f18", None, "rosenbrock", 20, 1.0),
-]
+# layout of the 18-function suite: id -> (separable base, nonseparable base,
+# number of rotated groups, weight on each rotated group). Zero rotated
+# groups make a fully separable function; no separable base means the
+# rotated groups tile every variable.
+_SUITE_LAYOUT = {
+    "f01": ("elliptic", None, 0, 1.0),
+    "f02": ("rastrigin", None, 0, 1.0),
+    "f03": ("ackley", None, 0, 1.0),
+    "f04": ("elliptic", "elliptic", 1, 1e6),
+    "f05": ("rastrigin", "rastrigin", 1, 1e6),
+    "f06": ("ackley", "ackley", 1, 1e6),
+    "f07": ("sphere", "schwefel12", 1, 1e6),
+    "f08": ("sphere", "rosenbrock", 1, 1e6),
+    "f09": ("elliptic", "elliptic", 10, 1.0),
+    "f10": ("rastrigin", "rastrigin", 10, 1.0),
+    "f11": ("ackley", "ackley", 10, 1.0),
+    "f12": ("sphere", "schwefel12", 10, 1.0),
+    "f13": ("sphere", "rosenbrock", 10, 1.0),
+    "f14": (None, "elliptic", 20, 1.0),
+    "f15": (None, "rastrigin", 20, 1.0),
+    "f16": (None, "ackley", 20, 1.0),
+    "f17": (None, "schwefel12", 20, 1.0),
+    "f18": (None, "rosenbrock", 20, 1.0),
+}
 
-FUNCTION_IDS = tuple(layout[0] for layout in _SUITE_LAYOUT)
+FUNCTION_IDS = tuple(_SUITE_LAYOUT)
 
 
 def build_function(
@@ -349,26 +354,17 @@ def make_suite(dim: int, seed: int) -> list[BenchmarkFunction]:
     space; at dim=1000 that reproduces the reference layout of 50-variable
     nonseparable blocks.
     """
-    if dim < 20 or dim % 20 != 0:
-        raise ValueError("dim must be a positive multiple of 20")
-    group_size = dim // 20
-    suite = []
-    for fid, sep_base, nonsep_base, n_groups, weight in _SUITE_LAYOUT:
-        suite.append(
-            build_function(fid, dim, seed, sep_base, nonsep_base, n_groups, group_size, weight)
-        )
-    return suite
+    return [get_function(fid, dim, seed) for fid in FUNCTION_IDS]
 
 
 def get_function(fid: str, dim: int, seed: int) -> BenchmarkFunction:
     """Build a single suite member by id ('f01' .. 'f18')."""
-    for layout in _SUITE_LAYOUT:
-        if layout[0] == fid:
-            _, sep_base, nonsep_base, n_groups, weight = layout
-            if dim < 20 or dim % 20 != 0:
-                raise ValueError("dim must be a positive multiple of 20")
-            return build_function(fid, dim, seed, sep_base, nonsep_base, n_groups, dim // 20, weight)
-    raise ValueError(f"unknown function id {fid!r}")
+    if fid not in _SUITE_LAYOUT:
+        raise ValueError(f"unknown function id {fid!r}")
+    if dim < 20 or dim % 20 != 0:
+        raise ValueError("dim must be a positive multiple of 20")
+    sep_base, nonsep_base, n_groups, weight = _SUITE_LAYOUT[fid]
+    return build_function(fid, dim, seed, sep_base, nonsep_base, n_groups, dim // 20, weight)
 
 
 def suite_manifest(suite: list[BenchmarkFunction]) -> str:

@@ -9,8 +9,9 @@ Every experiment writes a self-describing output directory:
         summary.csv          best/median/worst/mean/std of final values
         convergence.csv      fe, mean_fv, std_fv across runs
 
-Runs with the same config are bit-reproducible, so any file here can be
-regenerated from the manifest alone.
+Runs with the same config are bit-reproducible under a fixed BLAS thread
+configuration (the thread count can reorder floating-point sums), so any
+file here can be regenerated from the manifest and that configuration.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ DUPLICATE_TOL = 1e-12  # infinity-norm below which two samples count as equal
 class TrainingArchive:
     """FIFO store of the ``capacity`` newest real-evaluated samples.
 
-    Entries keep their insertion tick so eviction is strictly oldest-first.
+    Rows are kept in insertion order, so eviction drops the leading rows.
     A sample that coincides with a stored one (within DUPLICATE_TOL) is
     nudged toward the box center by ~1e-9 of the bound range before insert;
     coincident rows would make the Phi block exactly singular.
@@ -48,7 +48,6 @@ class TrainingArchive:
         s = self.lower.size
         self.points = np.empty((0, s))
         self.values = np.empty(0)
-        self.ticks = np.empty(0, dtype=int)
         self._next_tick = 0
 
     def __len__(self) -> int:
@@ -77,7 +76,6 @@ class TrainingArchive:
         x = self._dedupe(np.asarray(x, dtype=float))
         self.points = np.vstack([self.points, x[None, :]])
         self.values = np.append(self.values, value)
-        self.ticks = np.append(self.ticks, self._next_tick)
         self._next_tick += 1
 
     def fill(self, points: np.ndarray, values: np.ndarray):
@@ -96,11 +94,8 @@ class TrainingArchive:
             raise ValueError("batch larger than archive capacity")
         if b == 0:
             return
-        keep = np.argsort(self.ticks, kind="stable")[b:]
-        keep.sort()
-        self.points = self.points[keep]
-        self.values = self.values[keep]
-        self.ticks = self.ticks[keep]
+        self.points = self.points[b:]
+        self.values = self.values[b:]
         for x, v in zip(batch_points, batch_values):
             self._insert(x, float(v))
 

@@ -9,7 +9,6 @@ from coopevo.benchmarks import (
     SEPARABLE,
     BenchmarkFunction,
     SeparabilityStructure,
-    build_function,
     get_function,
     make_separable,
     make_suite,
@@ -124,14 +123,16 @@ def test_partial_fitness_against_straight_line_oracle():
     suite = small_suite()
     for fn, loop in ((suite[0], _loop_elliptic), (suite[9], _loop_rastrigin)):
         x = rng.uniform(fn.lower, fn.upper)
+        rotations = list(fn.rotations)  # the k-th rotation belongs to the k-th rotated group
         for g, (grp, kind) in enumerate(zip(fn.structure.groups, fn.structure.group_kind)):
             idx = np.asarray(grp)
             z = x[idx] - fn.shift[idx]
             if kind == NONSEPARABLE:
-                z = fn._rotation_for(g) @ z
+                z = rotations.pop(0) @ z
             expect = fn.weights[g] * loop(z)
             got = fn.partial_fitness(x, g)
             assert abs(got - expect) <= 1e-9 * max(1.0, abs(expect))
+        assert rotations == []
 
 
 def test_make_suite_structure_counts_at_reference_scale():
@@ -182,6 +183,46 @@ def test_make_suite_rejects_bad_dimension():
         get_function("f01", 15, seed=1)
     with pytest.raises(ValueError):
         get_function("f99", 40, seed=1)
+
+
+def _two_group_kwargs(**override):
+    kw = dict(
+        fid="two-group-4d",
+        n=4,
+        lower=np.full(4, -5.0),
+        upper=np.full(4, 5.0),
+        shift=np.zeros(4),
+        rotations=(np.array([[0.0, 1.0], [-1.0, 0.0]]),),
+        structure=SeparabilityStructure(((0, 1), (2, 3)), (SEPARABLE, NONSEPARABLE)),
+        bases=("sphere", "elliptic"),
+        weights=(1.0, 2.0),
+        seed=0,
+    )
+    kw.update(override)
+    return kw
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        (dict(bases=("sphere", "nope")), "unknown base 'nope'"),
+        (dict(rotations=()), "0 rotations for 1 nonseparable groups"),
+        (dict(rotations=(np.eye(2), np.eye(2))), "2 rotations for 1 nonseparable groups"),
+        (dict(rotations=(np.eye(3),)), "rotation shape"),
+        (dict(rotations=(None,)), "rotation shape"),
+        (dict(rotations=(2.0 * np.eye(2),)), "not orthogonal"),
+        (dict(bases=("sphere",)), "one base per group"),
+        (dict(weights=(1.0, 2.0, 3.0)), "one weight per group"),
+    ],
+    ids=["unknown-base", "missing-rotation", "surplus-rotation", "rotation-shape",
+         "rotation-none", "non-orthogonal", "base-count", "weight-count"],
+)
+def test_constructor_rejects_inconsistent_definition(override, message):
+    fn = BenchmarkFunction(**_two_group_kwargs())
+    # sphere(1, 2) + 2 * elliptic(R @ (3, 4)) with R @ (3, 4) = (4, -3)
+    assert fn(np.array([1.0, 2.0, 3.0, 4.0])) == 5.0 + 2.0 * (16.0 + 1e6 * 9.0)
+    with pytest.raises(ValueError, match=message):
+        BenchmarkFunction(**_two_group_kwargs(**override))
 
 
 def test_evaluate_rejects_wrong_length():

@@ -16,7 +16,7 @@ from coopevo.harness import (
     read_convergence,
     run_experiment,
 )
-from coopevo.runtime import GenRow, RunRecord
+from coopevo.runtime import RunRecord
 
 
 def tiny_config(**kw):

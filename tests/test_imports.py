@@ -1,0 +1,60 @@
+"""Import hygiene: no module imports a name it never uses.
+
+A standard-library stand-in for a linter's unused-import rule. Names listed
+in a module's ``__all__`` count as used (re-exports), and ``from __future__``
+imports are compiler directives, so they are skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = ("src/coopevo", "tests", "demos")
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return names
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) for every imported name the module never reads."""
+    tree = ast.parse(source)
+    imported: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names if a.name != "*"]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_scanner_flags_only_unread_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path as osp\n"
+        "import numpy as np\n"
+        "from json import dumps, loads\n"
+        "__all__ = ['loads']\n"
+        "def f(x: np.ndarray):\n"
+        "    return osp.join(x)\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (4, "dumps")]
+
+
+@pytest.mark.parametrize("folder", SCANNED)
+def test_no_unused_imports(folder):
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / folder).glob("*.py"))
+        for line, name in unused_imports(path.read_text())
+    ]
+    assert found == []

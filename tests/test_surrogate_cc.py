@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coopevo.benchmarks import get_function, make_separable
+from coopevo.benchmarks import make_separable
 from coopevo.decomposition import embed, ideal_decompose
 from coopevo.runtime import BudgetExhausted, FeBudget, ContextState, RunParams, real_improvement
 from coopevo.surrogate_cc import SurrogateCC, initialization_cost
