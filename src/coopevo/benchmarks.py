@@ -290,6 +290,9 @@ def build_function(
         raise ValueError("nonseparable base required")
     if n_groups * group_size < dim and sep_base is None:
         raise ValueError("separable base required")
+    for base in (sep_base, nonsep_base):
+        if base is not None and base not in BASES:
+            raise ValueError(f"unknown base {base!r}")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(fid.encode())]))
     perm = rng.permutation(dim)

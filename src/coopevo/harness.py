@@ -170,7 +170,9 @@ def export_convergence(records: list[RunRecord], path: str | Path) -> Path:
 def read_convergence(path: str | Path) -> np.ndarray:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"empty convergence file {path}")
         if header != ["fe", "mean_fv", "std_fv"]:
             raise ValueError(f"unexpected convergence header {header}")
         rows = [(float(a), float(b), float(c)) for a, b, c in reader]

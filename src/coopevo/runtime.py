@@ -210,6 +210,14 @@ class CooperativeRun:
         self.record.loop_real_evals += real_evals
         self.add_row(sub_id, f_best)
 
+    def evaluate_rows(self, sub: SubProblem, rows: np.ndarray) -> np.ndarray:
+        """Real fitness of each row of ``rows`` embedded into the context, in
+        row order, one budgeted evaluation each. Stops at the first row the
+        budget cannot pay for, so the result may be a shorter prefix."""
+        n = self.budget.max_fe - self.budget.used
+        f = [real_fitness(self.fn, self.budget, self.context, sub, x) for x in rows[:n]]
+        return np.array(f, dtype=float)
+
     def adopt(self, sub: SubProblem, x_g: np.ndarray, f: float):
         """Embed ``x_g`` into the context, whose real fitness becomes ``f``."""
         self.context.x = embed(self.context.x, sub, x_g)

@@ -12,6 +12,12 @@ This module holds only that evaluation policy (full evaluation, per-visit
 re-evaluation and the end-of-visit harvest); seeding, budget, context and
 run record come from ``runtime.CooperativeRun`` and the trial vectors from
 ``shade.generate_trials``, exactly as in the surrogate-assisted optimizer.
+Re-evaluation and trial scoring both go through the one budgeted row
+evaluator, ``CooperativeRun.evaluate_rows``, where a batched objective call
+would plug in. No freshness mask is kept: a stale value is, after its
+visit's harvest, at least the context fitness, which only improves, so it
+never wins the strict harvest, and a refresh the budget cuts short (its
+unpaid members read ``inf``) also ends the generation loop.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .benchmarks import BenchmarkFunction
 from .decomposition import Decomposition, SubProblem
-from .runtime import CooperativeRun, RunParams, RunRecord, real_fitness
+from .runtime import CooperativeRun, RunParams, RunRecord
 from .shade import InferiorArchive, ParameterMemory, generate_trials
 
 
@@ -31,7 +37,6 @@ class CcSubState:
     sub: SubProblem
     pop: np.ndarray            # (p, s)
     f_vals: np.ndarray         # (p,) embedded fitness, smaller is better
-    fresh: np.ndarray          # (p,) bool: evaluated under current context
     memory: ParameterMemory
     inferior: InferiorArchive
     rng: np.random.Generator
@@ -60,7 +65,6 @@ class ShadeCC(CooperativeRun):
                     sub=sub,
                     pop=pop,
                     f_vals=np.full(p, np.inf),
-                    fresh=np.zeros(p, dtype=bool),
                     memory=ParameterMemory(params.memory_size),
                     inferior=inferior,
                     rng=rng,
@@ -71,52 +75,39 @@ class ShadeCC(CooperativeRun):
     def _visit(self, g: int):
         st = self.subs[g]
         sub, rng = st.sub, st.rng
-        p = self.params.p
 
         # stored values were taken under an older context; refresh them
-        st.fresh[:] = False
-        for i in range(p):
-            if self.budget.exhausted:
-                break
-            st.f_vals[i] = real_fitness(self.fn, self.budget, self.context, sub, st.pop[i])
-            st.fresh[i] = True
-            self.record.reeval_evals += 1
+        refreshed = self.evaluate_rows(sub, st.pop)
+        st.f_vals[:] = np.inf
+        st.f_vals[: refreshed.size] = refreshed
+        self.record.reeval_evals += refreshed.size
 
         for _ in range(self.params.visit_len):
-            if self.budget.exhausted or not st.fresh.all():
+            if self.budget.exhausted:
                 break
             trials, f_used, cr_used = generate_trials(
                 st.pop, -st.f_vals, st.inferior, st.memory, sub.lower, sub.upper, rng
             )
+            f_trials = self.evaluate_rows(sub, trials)
+            parents = st.f_vals[: f_trials.size]
 
-            evaluated: list[tuple[int, float]] = []
-            for i in range(p):
-                if self.budget.exhausted:
-                    break
-                f_u = real_fitness(self.fn, self.budget, self.context, sub, trials[i])
-                evaluated.append((i, f_u))
+            # one-to-one greedy selection; ties replace the parent but are
+            # not successes, and beaten parents enter the archive in order
+            won = np.flatnonzero(f_trials < parents)
+            kept = np.flatnonzero(f_trials <= parents)
+            for x in st.pop[won]:
+                st.inferior.replace_random(x, rng)
+            st.memory.update(f_used[won], cr_used[won], parents[won] - f_trials[won])
+            st.pop[kept] = trials[kept]
+            st.f_vals[kept] = f_trials[kept]
 
-            sf, scr, deltas = [], [], []
-            for i, f_u in evaluated:
-                if f_u <= st.f_vals[i]:
-                    if f_u < st.f_vals[i]:
-                        st.inferior.replace_random(st.pop[i], rng)
-                        sf.append(f_used[i])
-                        scr.append(cr_used[i])
-                        deltas.append(st.f_vals[i] - f_u)
-                    st.pop[i] = trials[i]
-                    st.f_vals[i] = f_u
-            st.memory.update(np.array(sf), np.array(scr), np.array(deltas))
+            f_best = min(self.context.f, float(st.f_vals.min()))
+            self.close_generation(g, f_trials.size, f_best)
 
-            f_best = min(self.context.f, float(st.f_vals[st.fresh].min()))
-            self.close_generation(g, len(evaluated), f_best)
-
-        # harvest: embed the best fresh member if it beats the context
-        if st.fresh.any():
-            masked = np.where(st.fresh, st.f_vals, np.inf)
-            b = int(np.argmin(masked))
-            if masked[b] < self.context.f:
-                self.adopt(sub, st.pop[b], float(masked[b]))
+        # harvest: embed the best member if it beats the context
+        b = int(np.argmin(st.f_vals))
+        if st.f_vals[b] < self.context.f:
+            self.adopt(sub, st.pop[b], float(st.f_vals[b]))
 
     def run(self) -> RunRecord:
         while not self.budget.exhausted:

@@ -118,12 +118,7 @@ class SurrogateCC(CooperativeRun):
             d = params.d_factor * sub.s
             inferior = InferiorArchive(rng.uniform(sub.lower, sub.upper, (p, sub.s)))
             pool = rng.uniform(sub.lower, sub.upper, (max(d, p), sub.s))
-            vals = np.array(
-                [
-                    real_improvement(fn, self.budget, self.context, sub, x)
-                    for x in pool
-                ]
-            )
+            vals = self.context.f - self.evaluate_rows(sub, pool)
             archive = TrainingArchive(d, sub.lower, sub.upper)
             archive.fill(pool[-d:], vals[-d:])
             best = select_best(vals, p)
@@ -176,15 +171,15 @@ class SurrogateCC(CooperativeRun):
             # no usable surrogate: evaluate every trial against the real
             # model this generation so the search can continue
             parent_scores = st.pop_vals.copy()
-            trial_scores, evaluated, successes, truncated = two_step_select(
-                parent_scores, np.full(p, -np.inf), p, real_eval
-            )
+            model_scores = np.full(p, -np.inf)
+            q = p
             self.record.fallback_generations += 1
         else:
             parent_scores = predictor(st.pop)
-            trial_scores, evaluated, successes, truncated = two_step_select(
-                parent_scores, predictor(trials), q, real_eval
-            )
+            model_scores = predictor(trials)
+        trial_scores, evaluated, successes, truncated = two_step_select(
+            parent_scores, model_scores, q, real_eval
+        )
         for i in successes:
             st.inferior.replace_random(st.pop[i], rng)
         st.memory.update(

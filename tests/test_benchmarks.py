@@ -9,6 +9,7 @@ from coopevo.benchmarks import (
     SEPARABLE,
     BenchmarkFunction,
     SeparabilityStructure,
+    build_function,
     get_function,
     make_separable,
     make_suite,
@@ -249,6 +250,19 @@ def test_make_separable_helper():
     assert fn.n == 7
     assert fn.structure.group_kind == (SEPARABLE,)
     assert abs(fn(fn.shift)) <= 1e-12
+    with pytest.raises(ValueError, match="unknown base 'nope'"):
+        make_separable("nope", 5, seed=1)
+
+
+@pytest.mark.parametrize(
+    "sep_base, nonsep_base",
+    [("nope", "elliptic"), ("sphere", "nope")],
+    ids=["sep_base", "nonsep_base"],
+)
+def test_build_function_rejects_unknown_base(sep_base, nonsep_base):
+    # rejected before the bounds of the base are looked up
+    with pytest.raises(ValueError, match="unknown base 'nope'"):
+        build_function("fx", 10, 1, sep_base, nonsep_base, 1, 5)
 
 
 def test_suite_manifest_is_valid_json():

@@ -93,6 +93,14 @@ def test_fes_to_match_subcommand(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "not reached"
 
 
+@pytest.mark.parametrize("content", ["", "fe,mean_fv,std_fv\n"], ids=["empty", "header-only"])
+def test_fes_to_match_rejects_curve_without_rows(tmp_path, capsys, content):
+    trace = tmp_path / "convergence.csv"
+    trace.write_text(content)
+    assert main(["fes-to-match", "--target", "1.0", "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_compare_subcommand(tmp_path, capsys):
     args = [
         "compare",

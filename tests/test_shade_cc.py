@@ -68,6 +68,25 @@ def test_budget_exhaustion_truncates_cleanly():
     assert record.final_f == cc.context.f
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_budget_ends_inside_revisit_refresh(seed):
+    # the budget runs out ``off`` evaluations into the second round's first
+    # refresh: that visit charges only what it refreshed and traces nothing
+    p, visit_len = 10, 3
+    k = make_cc()[1].k
+    for off in range(p):
+        max_fe = 1 + k * (p + visit_len * p) + off
+        fn, _, cc = make_cc(seed=seed, p=p, visit_len=visit_len, max_fe=max_fe)
+        record = cc.run()
+        assert 1 + record.reeval_evals + record.loop_real_evals == max_fe
+        assert record.reeval_evals == k * p + off
+        assert abs(fn(cc.context.x) - cc.context.f) <= 1e-9 * max(1.0, abs(cc.context.f))
+        gens = [row for row in record.rows if row.generation > 0]
+        assert len(gens) == k * visit_len
+        assert gens[-1].sub_id == k - 1
+        assert gens[-1].fe_used == max_fe - off
+
+
 def test_improves_on_single_block_problem():
     # one 10-d block: every visit optimizes the whole problem, so a few
     # thousand evaluations must improve the random start substantially

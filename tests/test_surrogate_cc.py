@@ -290,6 +290,22 @@ def test_partial_final_generation_truncates_cleanly():
         assert len(st.archive) == 25
 
 
+def test_fallback_generations_evaluate_every_trial():
+    # d_factor=1 keeps only s samples per archive, one fewer than an RBF
+    # fit needs, so every generation falls back to real evaluation
+    _, decomp = small_problem()
+    init = initialization_cost(decomp, RunParams(max_fe=1, p=20, d_factor=1))
+    _, _, opt = make_opt(max_fe=init + 67, p=20, q=4, d_factor=1)
+    reports = []
+    while not opt.budget.exhausted:
+        reports.append(opt.step())
+    assert all(r.fallback for r in reports)
+    assert [r.real_evals for r in reports] == [20, 20, 20, 7]
+    assert [r.truncated for r in reports] == [False, False, False, True]
+    assert opt.record.fallback_generations == len(reports) == opt.generation
+    assert opt.budget.used == init + sum(r.real_evals for r in reports)
+
+
 def test_fe_conservation_property_random_configs():
     rng = np.random.default_rng(99)
     for _ in range(8):
