@@ -46,7 +46,14 @@ from .runtime import (
     real_fitness,
     real_improvement,
 )
-from .shade import InferiorArchive, ParameterMemory, generate_trials, mutate_crossover, sample_params
+from .shade import (
+    InferiorArchive,
+    ParameterMemory,
+    generate_trials,
+    mutate_crossover,
+    pbest_fraction,
+    sample_params,
+)
 from .shade_cc import ShadeCC
 from .surrogate_cc import SurrogateCC, initialization_cost
 
@@ -87,6 +94,7 @@ __all__ = [
     "make_suite",
     "mean_curve",
     "mutate_crossover",
+    "pbest_fraction",
     "real_fitness",
     "real_improvement",
     "run_experiment",

@@ -65,6 +65,8 @@ def _build_config(args: argparse.Namespace, default_algorithm: str | None = None
     if args.config is not None:
         with open(args.config) as handle:
             loaded = json.load(handle)
+        if not isinstance(loaded, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(loaded) - set(_CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -37,6 +37,10 @@ class TrainingArchive:
     A sample that coincides with a stored one (within DUPLICATE_TOL) is
     nudged toward the box center by ~1e-9 of the bound range before insert;
     coincident rows would make the Phi block exactly singular.
+
+    The rows live in one preallocated ``(capacity, s)`` block; ``points``
+    and ``values`` are views of its filled part, so they change with the
+    next ``push`` or ``rebase``.
     """
 
     def __init__(self, capacity: int, lower: np.ndarray, upper: np.ndarray):
@@ -45,23 +49,31 @@ class TrainingArchive:
         self.capacity = capacity
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
-        s = self.lower.size
-        self.points = np.empty((0, s))
-        self.values = np.empty(0)
+        self._points = np.empty((capacity, self.lower.size))
+        self._values = np.empty(capacity)
+        self._n = 0
         self._next_tick = 0
 
     def __len__(self) -> int:
-        return self.points.shape[0]
+        return self._n
 
     @property
     def s(self) -> int:
         return int(self.lower.size)
 
+    @property
+    def points(self) -> np.ndarray:
+        return self._points[: self._n]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values[: self._n]
+
     def _dedupe(self, x: np.ndarray) -> np.ndarray:
-        if len(self) == 0:
-            return x
-        gap = np.max(np.abs(self.points - x), axis=1)
-        if np.min(gap) >= DUPLICATE_TOL:
+        # a row within DUPLICATE_TOL of x (infinity norm) is that close in
+        # coordinate 0 too, so only those rows need the full comparison
+        near = self.points[np.abs(self.points[:, 0] - x[0]) < DUPLICATE_TOL]
+        if near.size == 0 or np.min(np.max(np.abs(near - x), axis=1)) >= DUPLICATE_TOL:
             return x
         span = self.upper - self.lower
         center = 0.5 * (self.lower + self.upper)
@@ -72,11 +84,14 @@ class TrainingArchive:
         jitter = np.random.default_rng(self._next_tick).uniform(0.5, 1.0, x.size)
         return np.clip(x + 1e-9 * span * direction * jitter, self.lower, self.upper)
 
-    def _insert(self, x: np.ndarray, value: float):
-        x = self._dedupe(np.asarray(x, dtype=float))
-        self.points = np.vstack([self.points, x[None, :]])
-        self.values = np.append(self.values, value)
-        self._next_tick += 1
+    def _append(self, points: np.ndarray, values: np.ndarray):
+        # each row is deduped against every row written before it, those of
+        # the same batch included
+        for x, v in zip(np.asarray(points, dtype=float), values):
+            self._points[self._n] = self._dedupe(x)
+            self._values[self._n] = v
+            self._n += 1
+            self._next_tick += 1
 
     def fill(self, points: np.ndarray, values: np.ndarray):
         """Initial population of the archive (oldest first)."""
@@ -84,8 +99,7 @@ class TrainingArchive:
             raise ValueError("archive already filled")
         if len(points) != self.capacity:
             raise ValueError("initial fill must supply exactly `capacity` samples")
-        for x, v in zip(points, values):
-            self._insert(x, float(v))
+        self._append(points, values)
 
     def push(self, batch_points: np.ndarray, batch_values: np.ndarray):
         """Replace the ``len(batch)`` oldest entries with fresh samples."""
@@ -94,16 +108,17 @@ class TrainingArchive:
             raise ValueError("batch larger than archive capacity")
         if b == 0:
             return
-        self.points = self.points[b:]
-        self.values = self.values[b:]
-        for x, v in zip(batch_points, batch_values):
-            self._insert(x, float(v))
+        kept = max(self._n - b, 0)
+        self._points[:kept] = self._points[self._n - kept : self._n]
+        self._values[:kept] = self._values[self._n - kept : self._n]
+        self._n = kept
+        self._append(batch_points, batch_values)
 
     def rebase(self, delta: float):
         """Shift every stored improvement down by ``delta`` (> 0)."""
         if delta <= 0:
             raise ValueError("rebase delta must be positive")
-        self.values = self.values - delta
+        self._values[: self._n] -= delta
 
 
 @dataclass

@@ -7,11 +7,14 @@ improvement-weighted means, and the always-full inferior archive that
 donates difference vectors. All scores passed in follow a larger-is-better
 convention, so the same code serves raw-fitness and improvement-based
 callers.
+
+The operators are defined per member but need no sequential draw order, so
+they work on the whole population at once: one generation of trials is one
+call each of ``sample_params``, ``pbest_fraction`` and ``mutate_crossover``,
+and every random draw covers all members (see ``generate_trials``).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -75,85 +78,99 @@ class InferiorArchive:
     def __len__(self) -> int:
         return self.slots.shape[0]
 
-    def replace_random(self, x: np.ndarray, rng: np.random.Generator):
-        self.slots[rng.integers(len(self))] = x
+    def replace_random(self, rows: np.ndarray, rng: np.random.Generator):
+        """Overwrite one uniformly drawn slot per row of ``rows``.
+
+        The slots come from one draw for the whole batch and the rows are
+        written in order, so a slot drawn twice keeps the later row.
+        """
+        for slot, x in zip(rng.integers(len(self), size=len(rows)), rows):
+            self.slots[slot] = x
 
 
-def pbest_fraction(p: int, rng: np.random.Generator) -> float:
-    """Per-trial elite fraction, uniform on [2/p, 0.2].
+def pbest_fraction(p: int, rng: np.random.Generator) -> np.ndarray:
+    """Elite fraction of each of the ``p`` members, uniform on [2/p, 0.2].
 
     The lower end guarantees at least two candidates; for tiny populations
     where 2/p exceeds 0.2 the interval collapses to that single point.
     """
     lo = 2.0 / p
-    return float(rng.uniform(lo, max(PBEST_MAX_FRAC, lo)))
+    return rng.uniform(lo, max(PBEST_MAX_FRAC, lo), p)
 
 
-def sample_params(memory: ParameterMemory, rng: np.random.Generator) -> tuple[float, float]:
-    """Draw one (F, CR) pair from a random memory entry.
+def sample_params(
+    memory: ParameterMemory, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``n`` (F, CR) pairs, each from a random memory entry.
 
     F ~ Cauchy(mean, 0.1), resampled while non-positive and clipped to 1;
-    CR ~ Normal(mean, 0.1) clipped into [0, 1].
+    CR ~ Normal(mean, 0.1) clipped into [0, 1]. Draw order: the ``n``
+    memory slots, the ``n`` Cauchy deviates, the ``n`` normal deviates, then
+    one Cauchy deviate per still non-positive F, round after round.
     """
-    r = int(rng.integers(memory.size))
-    f = rng.standard_cauchy() * 0.1 + memory.f[r]
-    while f <= 0.0:
-        f = rng.standard_cauchy() * 0.1 + memory.f[r]
-    f = min(f, 1.0)
-    cr = rng.normal(memory.cr[r], 0.1)
-    cr = 0.0 if cr < 0.0 else (1.0 if cr > 1.0 else cr)
-    return float(f), float(cr)
+    slot = rng.integers(memory.size, size=n)
+    loc = memory.f[slot]
+    f = rng.standard_cauchy(n) * 0.1 + loc
+    cr = rng.normal(memory.cr[slot], 0.1, n)
+    redo = np.flatnonzero(f <= 0.0)
+    while redo.size:
+        f[redo] = rng.standard_cauchy(redo.size) * 0.1 + loc[redo]
+        redo = redo[f[redo] <= 0.0]
+    return np.minimum(f, 1.0), np.clip(cr, 0.0, 1.0)
 
 
 def mutate_crossover(
     pop: np.ndarray,
     scores: np.ndarray,
     archive_slots: np.ndarray,
-    i: int,
-    f: float,
-    cr: float,
-    pbest_frac: float,
+    f: np.ndarray,
+    cr: np.ndarray,
+    pbest_frac: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """current-to-pbest/1/bin trial vector for member ``i``.
+    """current-to-pbest/1/bin trial vectors, one row per member.
 
-    v = x_i + F (x_pbest - x_i) + F (x_r1 - x~_r2), with x_pbest uniform
-    among the ceil(pbest_frac * p) best-scoring members, r1 a population
-    member other than i, and x~_r2 drawn from population + archive excluding
-    i and r1. Binomial crossover with a forced coordinate follows, then
-    out-of-bounds components are pulled to the midpoint between the bound
-    and the parent.
+    For member i with control parameters ``f[i]``, ``cr[i]`` and
+    ``pbest_frac[i]``: v = x_i + F (x_pbest - x_i) + F (x_r1 - x~_r2), with
+    x_pbest uniform among the ceil(pbest_frac * p) best-scoring members, r1
+    a population member other than i, and x~_r2 drawn from population +
+    archive excluding i and r1. Binomial crossover with a forced coordinate
+    follows, then out-of-bounds components are pulled to the midpoint
+    between the bound and the parent.
 
-    Draw order (one rng): pbest pick, r1, r2, forced coordinate, crossover
-    uniforms.
+    Draw order (one rng, each draw covering all p members at once): pbest
+    picks, r1 (drawn from the p - 1 others by shifting draws >= i up by
+    one), r2, redraws of r2 for the members whose r2 hit i or r1 (repeated
+    until none does), forced coordinates, the (p, s) crossover uniforms.
     """
     p, s = pop.shape
-    x_i = pop[i]
+    member = np.arange(p)
 
-    n_best = math.ceil(pbest_frac * p)
+    n_best = np.ceil(pbest_frac * p).astype(np.intp)
     order = np.argsort(-scores, kind="stable")
-    pbest = pop[order[int(rng.integers(n_best))]]
+    pbest = pop[order[rng.integers(n_best)]]
 
-    r1 = int(rng.integers(p))
-    while r1 == i:
-        r1 = int(rng.integers(p))
-    pool = p + archive_slots.shape[0]
-    r2 = int(rng.integers(pool))
-    while r2 == i or r2 == r1:
-        r2 = int(rng.integers(pool))
-    donor = pop[r2] if r2 < p else archive_slots[r2 - p]
+    r1 = rng.integers(p - 1, size=p)
+    r1 += r1 >= member
+    pool = np.concatenate([pop, archive_slots])
+    r2 = rng.integers(len(pool), size=p)
+    redo = np.flatnonzero((r2 == member) | (r2 == r1))
+    while redo.size:
+        r2[redo] = rng.integers(len(pool), size=redo.size)
+        redo = redo[(r2[redo] == redo) | (r2[redo] == r1[redo])]
 
-    v = x_i + f * (pbest - x_i) + f * (pop[r1] - donor)
+    f = f[:, None]
+    v = pop + f * (pbest - pop) + f * (pop[r1] - pool[r2])
 
-    j_rand = int(rng.integers(s))
-    mask = rng.random(s) <= cr
-    mask[j_rand] = True
-    u = np.where(mask, v, x_i)
+    j_rand = rng.integers(s, size=p)
+    mask = rng.random((p, s)) <= cr[:, None]
+    mask[member, j_rand] = True
+    u = np.where(mask, v, pop)
 
-    u = np.where(u < lower, 0.5 * (lower + x_i), u)
-    u = np.where(u > upper, 0.5 * (upper + x_i), u)
+    u = np.where(u < lower, 0.5 * (lower + pop), u)
+    u = np.where(u > upper, 0.5 * (upper + pop), u)
     return u
 
 
@@ -168,23 +185,18 @@ def generate_trials(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One trial vector per population member, in member order.
 
-    Each member draws its (F, CR) pair, then its elite fraction, then its
-    trial vector, all from the one ``rng``. Returns (trials, F, CR) with the
-    control parameters each trial was made with.
+    One batched pass from the one ``rng``: all (F, CR) pairs
+    (``sample_params``), then all elite fractions (``pbest_fraction``),
+    then all trial vectors (``mutate_crossover``). SHADE defines its
+    operators per member but needs no sequential draw order, so the
+    members share each draw. Returns (trials, F, CR) with the control
+    parameters each trial was made with.
     """
     p = pop.shape[0]
-    trials = np.empty_like(pop)
-    f_used = np.empty(p)
-    cr_used = np.empty(p)
-    for i in range(p):
-        f_i, cr_i = sample_params(memory, rng)
-        frac = pbest_fraction(p, rng)
-        trials[i] = mutate_crossover(
-            pop, scores, inferior.slots, i, f_i, cr_i, frac, lower, upper, rng
-        )
-        f_used[i] = f_i
-        cr_used[i] = cr_i
-    return trials, f_used, cr_used
+    f, cr = sample_params(memory, p, rng)
+    frac = pbest_fraction(p, rng)
+    trials = mutate_crossover(pop, scores, inferior.slots, f, cr, frac, lower, upper, rng)
+    return trials, f, cr
 
 
 def select_best(values: np.ndarray, q: int) -> np.ndarray:

@@ -95,8 +95,7 @@ class ShadeCC(CooperativeRun):
             # not successes, and beaten parents enter the archive in order
             won = np.flatnonzero(f_trials < parents)
             kept = np.flatnonzero(f_trials <= parents)
-            for x in st.pop[won]:
-                st.inferior.replace_random(x, rng)
+            st.inferior.replace_random(st.pop[won], rng)
             st.memory.update(f_used[won], cr_used[won], parents[won] - f_trials[won])
             st.pop[kept] = trials[kept]
             st.f_vals[kept] = f_trials[kept]

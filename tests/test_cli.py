@@ -84,6 +84,14 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ["42", "[1, 2]"], ids=["number", "list"])
+def test_config_file_rejects_non_object_top_level(tmp_path, capsys, content):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(content)
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.strip() == "error: config file must hold a JSON object"
+
+
 def test_fes_to_match_subcommand(tmp_path, capsys):
     trace = tmp_path / "convergence.csv"
     trace.write_text("fe,mean_fv,std_fv\n100,10.0,0.0\n200,5.0,0.0\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coopevo.rbf import TrainingArchive, TrainingError, train_surrogate
+from coopevo.rbf import DUPLICATE_TOL, TrainingArchive, TrainingError, train_surrogate
 
 
 def filled_archive(points, values, lower=None, upper=None):
@@ -189,6 +189,78 @@ def test_rebase_preserves_ranking():
     before = np.argsort(arch.values).tolist()
     arch.rebase(1.234)
     assert np.argsort(arch.values).tolist() == before
+
+
+class ListArchive:
+    """Straight-line reference for TrainingArchive on Python lists: a row
+    that lies within DUPLICATE_TOL of a stored row is nudged before it is
+    appended, and a push drops the oldest rows first."""
+
+    def __init__(self, capacity, lower, upper):
+        self.lower, self.upper = lower, upper
+        self.rows, self.values, self.tick = [], [], 0
+
+    def insert(self, x, value):
+        if self.rows and min(np.max(np.abs(r - x)) for r in self.rows) < DUPLICATE_TOL:
+            span = self.upper - self.lower
+            center = 0.5 * (self.lower + self.upper)
+            direction = np.where(center >= x, 1.0, -1.0)
+            jitter = np.random.default_rng(self.tick).uniform(0.5, 1.0, x.size)
+            x = np.clip(x + 1e-9 * span * direction * jitter, self.lower, self.upper)
+        self.rows.append(x)
+        self.values.append(value)
+        self.tick += 1
+
+    def push(self, points, values):
+        del self.rows[: len(points)]
+        del self.values[: len(points)]
+        for x, v in zip(points, values):
+            self.insert(x, v)
+
+    def rebase(self, delta):
+        self.values = [v - delta for v in self.values]
+
+
+def test_archive_matches_straight_line_reference_with_planted_duplicates():
+    rng = np.random.default_rng(8)
+    cap, s = 12, 3
+    lower, upper = np.full(s, -5.0), np.full(s, 5.0)
+    arch = TrainingArchive(cap, lower, upper)
+    ref = ListArchive(cap, lower, upper)
+    init = rng.uniform(lower, upper, (cap, s))
+    init[5] = init[2]                  # duplicate inside the initial fill
+    init[7] = upper                    # a row on the bound
+    init[8] = upper
+    arch.fill(init, np.arange(cap, dtype=float))
+    for x, v in zip(init, np.arange(cap, dtype=float)):
+        ref.insert(x, v)
+    nudged = 0
+    for _ in range(300):
+        if rng.random() < 0.2:
+            delta = float(rng.uniform(0.1, 2.0))
+            arch.rebase(delta)
+            ref.rebase(delta)
+        else:
+            b = int(rng.integers(1, cap + 1))
+            batch = rng.uniform(lower, upper, (b, s))
+            for k in range(b):
+                kind = rng.integers(5)
+                if kind == 1:      # a stored row, possibly one evicted by this push
+                    batch[k] = ref.rows[int(rng.integers(cap))]
+                elif kind == 2 and k > 0:  # an earlier row of the same batch
+                    batch[k] = batch[int(rng.integers(k))]
+                elif kind == 3:    # within DUPLICATE_TOL of a stored row
+                    batch[k] = ref.rows[-1] + 1e-13
+                elif kind == 4:    # a stored row's coordinate 0, the rest apart
+                    batch[k, 0] = ref.rows[int(rng.integers(cap))][0]
+            vals = rng.normal(size=b)
+            arch.push(batch, vals)
+            ref.push(batch, vals)
+            nudged += sum(not np.array_equal(x, r) for x, r in zip(batch, ref.rows[-b:]))
+        assert len(arch) == cap
+        assert np.array_equal(arch.points, np.array(ref.rows))
+        assert np.array_equal(arch.values, np.array(ref.values))
+    assert nudged > 50  # the planted duplicates did reach the nudge
 
 
 def test_rebase_rejects_nonpositive_delta():
