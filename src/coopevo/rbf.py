@@ -70,10 +70,10 @@ class TrainingArchive:
         return self._values[: self._n]
 
     def _dedupe(self, x: np.ndarray) -> np.ndarray:
-        # a row within DUPLICATE_TOL of x (infinity norm) is that close in
-        # coordinate 0 too, so only those rows need the full comparison
-        near = self.points[np.abs(self.points[:, 0] - x[0]) < DUPLICATE_TOL]
-        if near.size == 0 or np.min(np.max(np.abs(near - x), axis=1)) >= DUPLICATE_TOL:
+        if len(self) == 0:
+            return x
+        gap = np.max(np.abs(self.points - x), axis=1)
+        if np.min(gap) >= DUPLICATE_TOL:
             return x
         span = self.upper - self.lower
         center = 0.5 * (self.lower + self.upper)

@@ -159,7 +159,7 @@ def mutate_crossover(
     redo = np.flatnonzero((r2 == member) | (r2 == r1))
     while redo.size:
         r2[redo] = rng.integers(len(pool), size=redo.size)
-        redo = redo[(r2[redo] == redo) | (r2[redo] == r1[redo])]
+        redo = redo[(r2[redo] == member[redo]) | (r2[redo] == r1[redo])]
 
     f = f[:, None]
     v = pop + f * (pbest - pop) + f * (pop[r1] - pool[r2])

@@ -140,8 +140,7 @@ class SurrogateCC(CooperativeRun):
 
         ``predictor`` replaces the trained surrogate for this generation
         (a testing seam); it must map an (m, s) batch to m scores without
-        touching the evaluation budget, and is called on the parents, then
-        on the trials. The trained surrogate scores both in one call.
+        touching the evaluation budget.
         """
         if self.budget.exhausted:
             raise BudgetExhausted("no budget left for another generation")
@@ -155,6 +154,7 @@ class SurrogateCC(CooperativeRun):
         if predictor is None:
             try:
                 model = train_surrogate(st.archive)
+                predictor = model.predict_batch
             except TrainingError:
                 fallback = True
 
@@ -174,10 +174,6 @@ class SurrogateCC(CooperativeRun):
             model_scores = np.full(p, -np.inf)
             q = p
             self.record.fallback_generations += 1
-        elif predictor is None:
-            # one surrogate call scores parents and trials together
-            scores = model.predict_batch(np.vstack([st.pop, trials]))
-            parent_scores, model_scores = scores[:p], scores[p:]
         else:
             parent_scores = predictor(st.pop)
             model_scores = predictor(trials)
