@@ -43,8 +43,6 @@ from .runtime import (
     FeBudget,
     RunParams,
     RunRecord,
-    real_fitness,
-    real_improvement,
 )
 from .shade import (
     InferiorArchive,
@@ -95,8 +93,6 @@ __all__ = [
     "mean_curve",
     "mutate_crossover",
     "pbest_fraction",
-    "real_fitness",
-    "real_improvement",
     "run_experiment",
     "sample_params",
     "suite_manifest",

@@ -61,6 +61,9 @@ class ExperimentConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        for name in ("seed", "suite_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if isinstance(self.functions, str):
             raise ValueError("functions must be a list of ids, not a single string")
         object.__setattr__(self, "functions", tuple(self.functions))
@@ -241,14 +244,21 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
 
     Seeds are ``seed .. seed + runs - 1``. With ``write=True`` (default) the
     traces, summaries, convergence curves and a reconstruction manifest are
-    written under the output directory.
+    written under the output directory. Every function's problem is built
+    and its minimum budget checked before the first run, so a bad setting
+    for a later function writes nothing.
     """
     summaries: list[SummaryRow] = []
     all_records: dict[str, list[RunRecord]] = {}
     paths: dict[str, Path] = {}
 
-    for fid in config.functions:
-        fn, decomp = build_problem(config, fid)
+    problems = {fid: build_problem(config, fid) for fid in config.functions}
+    for fid, (_, decomp) in problems.items():
+        need = OPTIMIZERS[config.algorithm].min_budget(decomp, config.run_params())
+        if config.budget < need:
+            raise ValueError(f"{fid}: budget {config.budget} below initialization cost {need}")
+
+    for fid, (fn, decomp) in problems.items():
         records = [
             run_single(config, fn, decomp, seed)
             for seed in range(config.seed, config.seed + config.runs)

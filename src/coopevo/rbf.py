@@ -138,12 +138,6 @@ class RbfModel:
     def _scale(self, x: np.ndarray) -> np.ndarray:
         return (x - self.lower) / (self.upper - self.lower)
 
-    def predict(self, x_g: np.ndarray) -> float:
-        x_g = np.asarray(x_g, dtype=float)
-        if x_g.shape != self.lower.shape:
-            raise ValueError("dimension mismatch")
-        return float(self.predict_batch(x_g[None, :])[0])
-
     def predict_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.lower.size:

@@ -46,32 +46,6 @@ class ContextState:
 
     x: np.ndarray
     f: float
-    version: int = 0
-
-
-def real_fitness(
-    fn: BenchmarkFunction,
-    budget: FeBudget,
-    context: ContextState,
-    sub: SubProblem,
-    x_g: np.ndarray,
-) -> float:
-    """Real fitness of ``x_g`` embedded into the context; one budgeted
-    evaluation."""
-    budget.spend()
-    return fn(embed(context.x, sub, x_g))
-
-
-def real_improvement(
-    fn: BenchmarkFunction,
-    budget: FeBudget,
-    context: ContextState,
-    sub: SubProblem,
-    x_g: np.ndarray,
-) -> float:
-    """Fitness gain of embedding ``x_g`` into the context; one budgeted
-    evaluation. Positive means the embedded solution beats the context."""
-    return context.f - real_fitness(fn, budget, context, sub, x_g)
 
 
 @dataclass(frozen=True)
@@ -133,8 +107,6 @@ class RunRecord:
     context_updates: int = 0
     max_audit_rel_err: float = 0.0
     max_crosscheck_err: float = 0.0
-    decomposition: dict | None = None
-    param_log: list = field(default_factory=list)  # (gen, sub, F list, CR list)
 
     HEADER = ("generation", "sub_id", "fe_used", "f_best")
 
@@ -156,10 +128,11 @@ class RunRecord:
 class CooperativeRun:
     """Scaffolding of one seeded cooperative-coevolution run.
 
-    Owns everything both optimizers share: the dimension check, the
-    evaluation budget, the seed streams (``rng`` for the run, ``sub_rngs[g]``
-    per sub-problem), the charged random context vector, the round-robin
-    ``cursor``, the ``generation`` count and the run record. Subclasses set
+    Owns everything both optimizers share: the dimension and budget checks,
+    the evaluation budget, the seed streams (``rng`` for the run,
+    ``sub_rngs[g]`` per sub-problem), the charged random context vector, the
+    one charged row evaluator ``evaluate_rows``, the round-robin ``cursor``,
+    the ``generation`` count and the run record. Subclasses set
     ``algorithm`` and add their evaluation policy.
     """
 
@@ -174,6 +147,9 @@ class CooperativeRun:
     ):
         if decomposition.n != fn.n:
             raise ValueError("decomposition does not match function dimension")
+        need = self.min_budget(decomposition, params)
+        if params.max_fe < need:
+            raise ValueError(f"budget {params.max_fe} below initialization cost {need}")
         self.fn = fn
         self.decomposition = decomposition
         self.params = params
@@ -196,8 +172,13 @@ class CooperativeRun:
             n=fn.n,
             seed=seed,
             params=params,
-            decomposition=decomposition.to_dict(),
         )
+
+    @staticmethod
+    def min_budget(decomposition: Decomposition, params: RunParams) -> int:
+        """Real evaluations spent before the first generation: the charged
+        ``x0``. An optimizer whose set-up costs more overrides this."""
+        return 1
 
     def add_row(self, sub_id: int, f_best: float):
         """Trace the current generation, budget use and best value."""
@@ -213,16 +194,21 @@ class CooperativeRun:
     def evaluate_rows(self, sub: SubProblem, rows: np.ndarray) -> np.ndarray:
         """Real fitness of each row of ``rows`` embedded into the context, in
         row order, one budgeted evaluation each. Stops at the first row the
-        budget cannot pay for, so the result may be a shorter prefix."""
+        budget cannot pay for, so the result may be a shorter prefix.
+
+        This is the one place that charges the objective after ``x0``: both
+        optimizers score every sub-solution through it."""
         n = self.budget.max_fe - self.budget.used
-        f = [real_fitness(self.fn, self.budget, self.context, sub, x) for x in rows[:n]]
+        f = []
+        for x in rows[:n]:
+            self.budget.spend()
+            f.append(self.fn(embed(self.context.x, sub, x)))
         return np.array(f, dtype=float)
 
     def adopt(self, sub: SubProblem, x_g: np.ndarray, f: float):
         """Embed ``x_g`` into the context, whose real fitness becomes ``f``."""
         self.context.x = embed(self.context.x, sub, x_g)
         self.context.f = f
-        self.context.version += 1
         self.record.context_updates += 1
 
     def finish(self) -> RunRecord:

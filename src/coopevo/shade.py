@@ -210,32 +210,29 @@ def two_step_select(
     trial_scores: np.ndarray,
     q: int,
     real_eval,
-) -> tuple[np.ndarray, list[int], np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Surrogate-screened selection.
 
     All pairs are first compared through their model scores; the ``q``
     trials with the best model scores are then re-scored by ``real_eval``
     and their entries overwritten, so the success decision for those pairs
-    follows the real value. ``real_eval(i)`` returns the real score of
-    trial ``i`` or None once the evaluation budget is gone, which truncates
-    the re-scoring pass.
+    follows the real value. ``real_eval(idx)`` takes the picked index array
+    in selection order and returns their real scores in that order; once
+    the evaluation budget is gone it returns a shorter prefix, which
+    truncates the re-scoring pass. In ``SurrogateCC`` it is a call of
+    ``CooperativeRun.evaluate_rows``, the one charged evaluation path.
 
     Returns (final trial scores, re-evaluated indices in selection order,
     success indices, truncated flag). Index ``i`` is a success when its
     final trial score strictly beats the parent's model score.
     """
     scores = np.array(trial_scores, dtype=float, copy=True)
-    evaluated: list[int] = []
-    truncated = False
-    for idx in select_best(scores, q):
-        value = real_eval(int(idx))
-        if value is None:
-            truncated = True
-            break
-        scores[idx] = value
-        evaluated.append(int(idx))
+    picked = select_best(scores, q)
+    real = real_eval(picked)
+    evaluated = picked[: real.size]
+    scores[evaluated] = real
     successes = np.flatnonzero(scores > parent_scores)
-    return scores, evaluated, successes, truncated
+    return scores, evaluated, successes, real.size < picked.size
 
 
 def worst_replacement(

@@ -16,7 +16,9 @@ stored improvements are shifted down by ``delta`` so they stay comparable.
 This module holds only that evaluation policy (surrogate screening, the
 training archive and the audit); seeding, budget, context and run record
 come from ``runtime.CooperativeRun`` and the trial vectors from
-``shade.generate_trials``, exactly as in the full-evaluation baseline.
+``shade.generate_trials``, exactly as in the full-evaluation baseline. Every
+charged evaluation, the initial pool and the screened trials alike, goes
+through the one charged row evaluator, ``CooperativeRun.evaluate_rows``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .runtime import (
     CooperativeRun,
     RunParams,
     RunRecord,
-    real_improvement,
 )
 from .shade import (
     InferiorArchive,
@@ -93,6 +94,7 @@ class SurrogateCC(CooperativeRun):
     """
 
     algorithm = "sacc"
+    min_budget = staticmethod(initialization_cost)
 
     def __init__(
         self,
@@ -101,16 +103,9 @@ class SurrogateCC(CooperativeRun):
         params: RunParams,
         seed: int,
         audit: bool = False,
-        log_params: bool = False,
     ):
-        init_cost = initialization_cost(decomposition, params)
-        if params.max_fe < init_cost:
-            raise ValueError(
-                f"budget {params.max_fe} below initialization cost {init_cost}"
-            )
         super().__init__(fn, decomposition, params, seed)
         self.audit = audit
-        self.log_params = log_params
 
         self.subs: list[SubState] = []
         for sub, rng in zip(decomposition.subproblems, self.sub_rngs):
@@ -162,11 +157,6 @@ class SurrogateCC(CooperativeRun):
             st.pop, st.pop_vals, st.inferior, st.memory, sub.lower, sub.upper, rng
         )
 
-        def real_eval(idx: int) -> float | None:
-            if self.budget.exhausted:
-                return None
-            return real_improvement(self.fn, self.budget, self.context, sub, trials[idx])
-
         if fallback:
             # no usable surrogate: evaluate every trial against the real
             # model this generation so the search can continue
@@ -178,7 +168,10 @@ class SurrogateCC(CooperativeRun):
             parent_scores = predictor(st.pop)
             model_scores = predictor(trials)
         trial_scores, evaluated, successes, truncated = two_step_select(
-            parent_scores, model_scores, q, real_eval
+            parent_scores,
+            model_scores,
+            q,
+            lambda idx: self.context.f - self.evaluate_rows(sub, trials[idx]),
         )
         st.inferior.replace_random(st.pop[successes], rng)
         st.memory.update(
@@ -187,7 +180,7 @@ class SurrogateCC(CooperativeRun):
             trial_scores[successes] - parent_scores[successes],
         )
 
-        if evaluated:
+        if evaluated.size:
             batch = evaluated[-st.archive.capacity:]
             st.archive.push(trials[batch], trial_scores[batch])
             worst_replacement(
@@ -206,16 +199,12 @@ class SurrogateCC(CooperativeRun):
                 self._run_audit(g)
 
         self.cursor = (self.cursor + 1) % self.decomposition.k
-        self.close_generation(g, len(evaluated), self.context.f)
-        if self.log_params:
-            self.record.param_log.append(
-                (self.generation, g, f_used.tolist(), cr_used.tolist())
-            )
+        self.close_generation(g, evaluated.size, self.context.f)
         return GenReport(
             generation=self.generation,
             sub_id=g,
             trials=p,
-            real_evals=len(evaluated),
+            real_evals=evaluated.size,
             success_idx=successes,
             context_updated=context_updated,
             truncated=truncated,

@@ -40,6 +40,17 @@ def test_run_rejects_invalid_budget(tmp_path, capsys):
     assert main(args) == 2
 
 
+def test_budget_too_small_for_a_later_function_writes_nothing(tmp_path, capsys):
+    # f01 at 20-d fits in 150 evaluations, f04's sacc set-up needs 201; the
+    # check runs before f01 starts, so the output directory stays empty
+    out = tmp_path / "out"
+    args = ["run", "--function", "f01", "--function", "f04", "--dim", "20",
+            "--algorithm", "sacc", "--budget", "150", "--runs", "1", "--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: f04: budget 150 below initialization cost 201")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = {
         "functions": ["f01"],

@@ -176,6 +176,10 @@ def test_config_validation():
         tiny_config(functions="f01")        # a bare string, not a list of ids
     with pytest.raises(ValueError):
         tiny_config(functions=("f01", "f99"))
+    with pytest.raises(ValueError, match="seed"):
+        tiny_config(seed=-1)
+    with pytest.raises(ValueError, match="suite_seed"):
+        tiny_config(suite_seed=-3)
 
 
 def test_run_experiment_writes_complete_output(tmp_path):

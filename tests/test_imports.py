@@ -1,4 +1,5 @@
-"""Import hygiene: no module imports a name it never uses.
+"""Import hygiene: no module imports a name it never uses, and the
+package's ``__all__`` matches what it binds.
 
 A standard-library stand-in for a linter's unused-import rule. Names listed
 in a module's ``__all__`` count as used (re-exports), and ``from __future__``
@@ -6,9 +7,12 @@ imports are compiler directives, so they are skipped.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import coopevo
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src/coopevo", "tests", "demos")
@@ -58,3 +62,13 @@ def test_no_unused_imports(folder):
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+def test_package_all_lists_exactly_its_public_names():
+    bound = {
+        name
+        for name, value in vars(coopevo).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert sorted(coopevo.__all__) == sorted(bound)
+    assert len(coopevo.__all__) == len(set(coopevo.__all__))

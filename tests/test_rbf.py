@@ -19,7 +19,7 @@ def test_linear_target_reproduced_exactly():
     arch = filled_archive([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0],
                           lower=[0.0], upper=[2.0])
     model = train_surrogate(arch)
-    assert model.predict(np.array([1.5])) == pytest.approx(1.5, abs=1e-8)
+    assert model.predict_batch(np.array([[1.5]]))[0] == pytest.approx(1.5, abs=1e-8)
 
 
 def test_interpolates_quadratic_labels():
@@ -63,7 +63,7 @@ def test_predict_at_training_samples_returns_labels():
     vals = rng.normal(size=25) * 100.0
     model = train_surrogate(filled_archive(pts, vals))
     for x, v in zip(pts, vals):
-        assert model.predict(x) == pytest.approx(v, rel=1e-6, abs=1e-8)
+        assert model.predict_batch(x[None, :])[0] == pytest.approx(v, rel=1e-6, abs=1e-8)
 
 
 def test_affine_exactness_off_sample():
@@ -89,7 +89,7 @@ def test_predict_matches_straight_line_summation():
     for w, center in zip(model.omega, model.centers):
         total += w * np.linalg.norm(z - center) ** 3
     total += float(np.dot(model.beta, z)) + model.alpha
-    assert model.predict(x) == pytest.approx(total, abs=1e-12)
+    assert model.predict_batch(x[None, :])[0] == pytest.approx(total, abs=1e-12)
 
 
 def test_duplicate_injection_triggers_fallback_path():
@@ -114,7 +114,7 @@ def test_rank_deficient_tail_falls_back_to_least_squares():
     pred = model.predict_batch(np.array([[0.5, 0.5], [3.0, -2.0]]))
     assert np.all(np.isfinite(pred))
     # on the sampled line the data is affine, so it is still matched well
-    assert model.predict(np.array([0.5, 0.5])) == pytest.approx(0.5, abs=1e-6)
+    assert model.predict_batch(np.array([[0.5, 0.5]]))[0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_training_needs_enough_samples():
@@ -128,7 +128,7 @@ def test_predict_rejects_dimension_mismatch():
         filled_archive([[0.0], [1.0], [2.0]], [0.0, 1.0, 4.0], lower=[0.0], upper=[2.0])
     )
     with pytest.raises(ValueError):
-        model.predict(np.zeros(2))
+        model.predict_batch(np.zeros((1, 2)))
 
 
 def test_interpolation_property_over_random_archives():

@@ -301,14 +301,19 @@ def test_select_best_breaks_ties_by_lower_index():
     assert select_best(vals, 3).tolist() == [0, 1, 2]
 
 
+def real_scores(table):
+    """A ``real_eval`` that looks each picked index up in ``table``."""
+    return lambda idx: np.array([table[i] for i in idx])
+
+
 def test_two_step_select_no_successes_without_improvement():
     parent = np.array([5.0, 5.0, 5.0])
     trial = np.array([1.0, 2.0, 3.0])
     reals = {2: 0.5, 1: 0.25}
     scores, evaluated, successes, truncated = two_step_select(
-        parent, trial, 2, lambda i: reals[i]
+        parent, trial, 2, real_scores(reals)
     )
-    assert evaluated == [2, 1]
+    assert evaluated.tolist() == [2, 1]
     assert successes.size == 0
     assert not truncated
 
@@ -317,8 +322,8 @@ def test_two_step_select_full_reevaluation_degenerate():
     parent = np.array([1.0, 2.0, 3.0])
     trial = np.array([0.0, 0.0, 0.0])
     reals = {0: 2.0, 1: 1.0, 2: 4.0}
-    scores, evaluated, successes, _ = two_step_select(parent, trial, 3, lambda i: reals[i])
-    assert sorted(evaluated) == [0, 1, 2]
+    scores, evaluated, successes, _ = two_step_select(parent, trial, 3, real_scores(reals))
+    assert sorted(evaluated.tolist()) == [0, 1, 2]
     assert successes.tolist() == [0, 2]
     assert scores.tolist() == [2.0, 1.0, 4.0]
 
@@ -329,8 +334,10 @@ def test_two_step_select_success_follows_real_value():
     # decides
     parent = np.array([1.0, 1.0])
     trial = np.array([9.0, 2.0])
-    scores, evaluated, successes, _ = two_step_select(parent, trial, 1, lambda i: -5.0)
-    assert evaluated == [0]
+    scores, evaluated, successes, _ = two_step_select(
+        parent, trial, 1, lambda idx: np.full(idx.size, -5.0)
+    )
+    assert evaluated.tolist() == [0]
     assert scores[0] == -5.0
     assert successes.tolist() == [1]  # 0 fails on the real value, 1 wins on the model
 
@@ -338,13 +345,13 @@ def test_two_step_select_success_follows_real_value():
 def test_two_step_select_truncates_on_budget():
     parent = np.zeros(3)
     trial = np.array([3.0, 2.0, 1.0])
-    budget = iter([10.0])  # one evaluation left
 
-    def real_eval(i):
-        return next(budget, None)
+    def real_eval(idx):
+        assert idx.tolist() == [0, 1, 2]
+        return np.array([10.0])  # one evaluation left
 
     scores, evaluated, successes, truncated = two_step_select(parent, trial, 3, real_eval)
-    assert evaluated == [0]
+    assert evaluated.tolist() == [0]
     assert truncated
     assert scores.tolist() == [10.0, 2.0, 1.0]
 

@@ -120,3 +120,37 @@ def test_shared_start_and_dimension_check(cls):
     wider = make_separable("sphere", 20, 5)
     with pytest.raises(ValueError, match="dimension"):
         cls(wider, decomp, RunParams(max_fe=3000, p=20), seed=5)
+
+
+# budgets that end inside a generation (51 and 41 are the sacc set-up costs
+# at d_factor 5 and 1); sacc at d_factor 1 falls back to real evaluation of
+# every trial in every generation
+CHARGE_CASES = {
+    "sacc": (SurrogateCC, dict(p=20, q=4), 51 + 4 * 3 + 2),
+    "sacc-fallback": (SurrogateCC, dict(p=20, q=4, d_factor=1), 41 + 67),
+    "shade-cc": (ShadeCC, dict(p=20, visit_len=5), 1 + 2 * (20 + 5 * 20) + 20 + 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHARGE_CASES))
+def test_every_charge_after_x0_goes_through_evaluate_rows(case, monkeypatch):
+    # the charged x0 is the one evaluation outside the row evaluator
+    cls, kw, max_fe = CHARGE_CASES[case]
+    rows = []
+    evaluate_rows = CooperativeRun.evaluate_rows
+
+    def counted(self, sub, batch):
+        values = evaluate_rows(self, sub, batch)
+        rows.append(values.size)
+        return values
+
+    monkeypatch.setattr(CooperativeRun, "evaluate_rows", counted)
+    fn = make_separable("sphere", 10, 1)
+    decomp = ideal_decompose(fn.structure, 5, fn.lower, fn.upper)
+    opt = cls(fn, decomp, RunParams(max_fe=max_fe, **kw), seed=1)
+    record = opt.run()
+    assert opt.budget.used == max_fe == 1 + sum(rows)
+    if case == "sacc-fallback":
+        assert record.fallback_generations == opt.generation > 0
+    else:
+        assert record.fallback_generations == 0

@@ -3,7 +3,7 @@ import pytest
 
 from coopevo.benchmarks import make_separable
 from coopevo.decomposition import embed, ideal_decompose
-from coopevo.runtime import BudgetExhausted, FeBudget, ContextState, RunParams, real_improvement
+from coopevo.runtime import BudgetExhausted, ContextState, FeBudget, RunParams
 from coopevo.surrogate_cc import SurrogateCC, initialization_cost
 
 
@@ -21,38 +21,43 @@ def make_opt(base="sphere", dim=10, s_sep=5, seed=1, audit=False, **kw):
     return fn, decomp, SurrogateCC(fn, decomp, params, seed=seed, audit=audit)
 
 
-# --- real improvement --------------------------------------------------------
+# --- the charged row evaluator -----------------------------------------------
+
+def set_context(opt, x, max_fe):
+    """Give ``opt`` the context ``x`` and a fresh budget of ``max_fe``
+    evaluations, for probing ``evaluate_rows`` directly."""
+    opt.context = ContextState(x, opt.fn(x))
+    opt.budget = FeBudget(max_fe)
+
 
 def test_improvement_of_own_component_is_zero():
-    fn, decomp = small_problem()
-    budget = FeBudget(10)
-    rng = np.random.default_rng(0)
-    x = rng.uniform(fn.lower, fn.upper)
-    context = ContextState(x, fn(x))
+    fn, decomp, opt = make_opt()
+    x = np.random.default_rng(0).uniform(fn.lower, fn.upper)
+    set_context(opt, x, 10)
     sub = decomp.subproblems[1]
-    assert real_improvement(fn, budget, context, sub, x[sub.indices]) == 0.0
-    assert budget.used == 1
+    improvement = opt.context.f - opt.evaluate_rows(sub, x[sub.indices][None, :])
+    assert improvement.tolist() == [0.0]
+    assert opt.budget.used == 1
 
 
 def test_improvement_sign_means_strictly_better():
-    fn, decomp = small_problem()
-    budget = FeBudget(100)
+    fn, decomp, opt = make_opt()
     rng = np.random.default_rng(1)
     x = rng.uniform(fn.lower, fn.upper)
-    context = ContextState(x, fn(x))
+    set_context(opt, x, 100)
     sub = decomp.subproblems[0]
-    for _ in range(20):
-        x_g = rng.uniform(sub.lower, sub.upper)
-        e = real_improvement(fn, budget, context, sub, x_g)
-        better = fn(embed(x, sub, x_g)) < context.f
-        assert (e > 0) == better
+    rows = rng.uniform(sub.lower, sub.upper, (20, sub.s))
+    improvement = opt.context.f - opt.evaluate_rows(sub, rows)
+    better = [fn(embed(x, sub, x_g)) < opt.context.f for x_g in rows]
+    assert (improvement > 0).tolist() == better
+    assert opt.budget.used == 20
 
 
 def test_improvement_independent_of_other_components():
     # additively separable: the same sub-solution gets the same improvement
     # whatever the rest of the context looks like, as long as the context's
     # own block is fixed
-    fn, decomp = small_problem(base="rastrigin")
+    fn, decomp, opt = make_opt(base="rastrigin")
     sub = decomp.subproblems[0]
     rng = np.random.default_rng(2)
     x_g = rng.uniform(sub.lower, sub.upper)
@@ -62,19 +67,28 @@ def test_improvement_independent_of_other_components():
     for _ in range(5):
         ctx_x = rng.uniform(fn.lower, fn.upper)
         ctx_x[sub.indices] = own
-        context = ContextState(ctx_x, fn(ctx_x))
-        values.append(real_improvement(fn, FeBudget(5), context, sub, x_g))
+        set_context(opt, ctx_x, 5)
+        values.append(float(opt.context.f - opt.evaluate_rows(sub, x_g[None, :])[0]))
     assert np.all(np.abs(np.diff(values)) <= 1e-9 * max(1.0, abs(values[0])))
 
 
 def test_improvement_budget_exhaustion():
-    fn, decomp = small_problem()
-    budget = FeBudget(1)
-    context = ContextState(np.zeros(fn.n), fn(np.zeros(fn.n)))
+    # three evaluations left for five rows: the first three are charged and
+    # returned in row order, then nothing more is charged
+    fn, decomp, opt = make_opt()
+    rng = np.random.default_rng(3)
+    x = rng.uniform(fn.lower, fn.upper)
+    set_context(opt, x, 3)
     sub = decomp.subproblems[0]
-    real_improvement(fn, budget, context, sub, np.zeros(sub.s))
+    rows = rng.uniform(sub.lower, sub.upper, (5, sub.s))
+    values = opt.evaluate_rows(sub, rows)
+    assert values.tolist() == [fn(embed(x, sub, x_g)) for x_g in rows[:3]]
+    assert opt.budget.used == opt.budget.max_fe == 3
+    assert opt.evaluate_rows(sub, rows).size == 0
+    assert opt.budget.used == 3
     with pytest.raises(BudgetExhausted):
-        real_improvement(fn, budget, context, sub, np.zeros(sub.s))
+        opt.budget.spend()
+    assert opt.budget.used == 3
 
 
 # --- initialization ----------------------------------------------------------
@@ -192,12 +206,12 @@ def test_context_fitness_never_increases():
         previous = opt.context.f
 
 
-def test_version_increments_only_on_update():
+def test_context_updates_increment_only_on_update():
     _, _, opt = make_opt(seed=4)
     for _ in range(20):
-        before = opt.context.version
+        before = opt.record.context_updates
         report = opt.step()
-        assert opt.context.version == before + int(report.context_updated)
+        assert opt.record.context_updates == before + int(report.context_updated)
 
 
 def test_audit_mode_runs_clean():
@@ -207,20 +221,6 @@ def test_audit_mode_runs_clean():
     assert opt.record.context_updates > 0
     assert opt.record.max_audit_rel_err <= 1e-9
     assert opt.record.max_crosscheck_err <= 1e-9
-
-
-def test_optional_parameter_logging():
-    fn, decomp = small_problem()
-    params = RunParams(max_fe=200, p=20, q=4)
-    opt = SurrogateCC(fn, decomp, params, seed=1, log_params=True)
-    for _ in range(3):
-        opt.step()
-    assert len(opt.record.param_log) == 3
-    gen, sub_id, fs, crs = opt.record.param_log[0]
-    assert (gen, sub_id) == (1, 0)
-    assert len(fs) == len(crs) == 20
-    assert all(0.0 < f <= 1.0 for f in fs)
-    assert all(0.0 <= cr <= 1.0 for cr in crs)
 
 
 def test_step_with_stub_predictor_skips_training():
