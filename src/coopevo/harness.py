@@ -9,6 +9,9 @@ Every experiment writes a self-describing output directory:
         summary.csv          best/median/worst/mean/std of final values
         convergence.csv      fe, mean_fv, std_fv across runs
 
+Every CSV file goes through ``runtime.write_table``, the one CSV writer;
+floats are written with ``repr`` so they parse back bit-equal.
+
 Runs with the same config are bit-reproducible under a fixed BLAS thread
 configuration (the thread count can reorder floating-point sums), so any
 file here can be regenerated from the manifest and that configuration.
@@ -29,7 +32,7 @@ import numpy as np
 from . import __version__
 from .benchmarks import FUNCTION_IDS, BenchmarkFunction, get_function
 from .decomposition import Decomposition, ideal_decompose
-from .runtime import RunParams, RunRecord
+from .runtime import RunParams, RunRecord, write_table
 from .shade_cc import ShadeCC
 from .surrogate_cc import SurrogateCC
 
@@ -57,6 +60,13 @@ class ExperimentConfig:
     out: str = "results"
 
     def __post_init__(self):
+        # a config file can carry any JSON type; bool is an int subclass
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "str" and not isinstance(value, str):
+                raise ValueError(f"{f.name} must be a string, got {value!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.runs < 1:
@@ -87,11 +97,6 @@ class ExperimentConfig:
 
     def out_dir(self) -> Path:
         return Path(os.environ.get(OUTDIR_ENV, self.out))
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["functions"] = list(self.functions)
-        return d
 
 
 @dataclass(frozen=True)
@@ -132,15 +137,6 @@ def build_problem(config: ExperimentConfig, fid: str) -> tuple[BenchmarkFunction
     return fn, decomp
 
 
-def run_single(
-    config: ExperimentConfig,
-    fn: BenchmarkFunction,
-    decomp: Decomposition,
-    seed: int,
-) -> RunRecord:
-    return OPTIMIZERS[config.algorithm](fn, decomp, config.run_params(), seed).run()
-
-
 def mean_curve(records: list[RunRecord]) -> np.ndarray:
     """Cross-run mean/std of the traced fitness on the shared FE grid.
 
@@ -157,17 +153,17 @@ def mean_curve(records: list[RunRecord]) -> np.ndarray:
     return np.column_stack([fes, values.mean(axis=0), values.std(axis=0, ddof=0)])
 
 
+CONVERGENCE_HEADER = ["fe", "mean_fv", "std_fv"]
+SUMMARY_HEADER = ["function", "algorithm", "budget", "runs", "best", "median", "worst", "mean", "std"]
+
+
 def export_convergence(records: list[RunRecord], path: str | Path) -> Path:
     """Write the cross-run mean curve as CSV with a fixed schema."""
-    curve = mean_curve(records)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["fe", "mean_fv", "std_fv"])
-        for fe, mean_fv, std_fv in curve:
-            writer.writerow([int(fe), repr(float(mean_fv)), repr(float(std_fv))])
-    return path
+    rows = (
+        (int(fe), repr(float(mean_fv)), repr(float(std_fv)))
+        for fe, mean_fv, std_fv in mean_curve(records)
+    )
+    return write_table(path, CONVERGENCE_HEADER, rows)
 
 
 def read_convergence(path: str | Path) -> np.ndarray:
@@ -176,7 +172,7 @@ def read_convergence(path: str | Path) -> np.ndarray:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"empty convergence file {path}")
-        if header != ["fe", "mean_fv", "std_fv"]:
+        if header != CONVERGENCE_HEADER:
             raise ValueError(f"unexpected convergence header {header}")
         rows = [(float(a), float(b), float(c)) for a, b, c in reader]
     return np.asarray(rows)
@@ -213,9 +209,12 @@ def effect_label(d: float) -> str:
 
 def fes_to_match(target: float, curve: np.ndarray) -> int | None:
     """Smallest evaluation count at which the mean curve reaches ``target``
-    (mean FV <= target); None when the curve never gets there."""
+    (mean FV <= target); None when the curve never gets there. An empty
+    curve or a NaN target, which no value can reach, is a ValueError."""
     if curve.size == 0:
         raise ValueError("empty convergence curve")
+    if math.isnan(target):
+        raise ValueError("target must not be NaN")
     hits = np.flatnonzero(curve[:, 1] <= target)
     if hits.size == 0:
         return None
@@ -227,7 +226,6 @@ COHENS_D_FORMULA = "(mean_a - mean_b) / sqrt((std_a^2 + std_b^2) / 2)"
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     summaries: list[SummaryRow]
     records: dict[str, list[RunRecord]]      # function id -> per-seed records
     paths: dict[str, Path]
@@ -252,17 +250,17 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     all_records: dict[str, list[RunRecord]] = {}
     paths: dict[str, Path] = {}
 
+    optimizer = OPTIMIZERS[config.algorithm]
+    params = config.run_params()
     problems = {fid: build_problem(config, fid) for fid in config.functions}
     for fid, (_, decomp) in problems.items():
-        need = OPTIMIZERS[config.algorithm].min_budget(decomp, config.run_params())
+        need = optimizer.min_budget(decomp, params)
         if config.budget < need:
             raise ValueError(f"{fid}: budget {config.budget} below initialization cost {need}")
 
+    seeds = list(range(config.seed, config.seed + config.runs))
     for fid, (fn, decomp) in problems.items():
-        records = [
-            run_single(config, fn, decomp, seed)
-            for seed in range(config.seed, config.seed + config.runs)
-        ]
+        records = [optimizer(fn, decomp, params, seed).run() for seed in seeds]
         finals = [rec.final_f for rec in records]
         summary = SummaryRow.from_finals(fid, config.algorithm, config.budget, finals)
         summaries.append(summary)
@@ -270,16 +268,17 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
 
         if write:
             out = config.out_dir() / fid / config.algorithm
-            out.mkdir(parents=True, exist_ok=True)
             for rec in records:
                 rec.write_csv(out / f"run_{rec.seed}.csv")
             export_convergence(records, out / "convergence.csv")
-            _write_summary_csv([summary], out / "summary.csv")
+            floats = (summary.best, summary.median, summary.worst, summary.mean, summary.std)
+            row = (fid, config.algorithm, config.budget, summary.runs, *map(repr, floats))
+            write_table(out / "summary.csv", SUMMARY_HEADER, [row])
             manifest = {
-                "config": config.to_dict(),
+                "config": dataclasses.asdict(config),
                 "function": fn.manifest(),
                 "decomposition": decomp.to_dict(),
-                "seeds": list(range(config.seed, config.seed + config.runs)),
+                "seeds": seeds,
                 "code_version": __version__,
                 "cohens_d_formula": COHENS_D_FORMULA,
                 "summary": dataclasses.asdict(summary),
@@ -288,29 +287,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
                 json.dump(manifest, handle, indent=2, sort_keys=True)
             paths[fid] = out
 
-    return ExperimentResult(config, summaries, all_records, paths)
-
-
-def _write_summary_csv(rows: list[SummaryRow], path: Path):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["function", "algorithm", "budget", "runs", "best", "median", "worst", "mean", "std"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.function_id,
-                    r.algorithm,
-                    r.budget,
-                    r.runs,
-                    repr(r.best),
-                    repr(r.median),
-                    repr(r.worst),
-                    repr(r.mean),
-                    repr(r.std),
-                ]
-            )
+    return ExperimentResult(summaries, all_records, paths)
 
 
 def compare_algorithms(config: ExperimentConfig) -> dict:

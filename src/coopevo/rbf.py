@@ -150,28 +150,6 @@ class RbfModel:
 INTERP_RTOL = 1e-6  # accepted relative residual at the training samples
 
 
-def _system(phi: np.ndarray, q: np.ndarray, labels: np.ndarray, lam: float):
-    d, cols = q.shape
-    a = np.zeros((d + cols, d + cols))
-    a[:d, :d] = phi
-    if lam > 0.0:
-        a[:d, :d] += lam * np.eye(d)
-    a[:d, d:] = q
-    a[d:, :d] = q.T
-    rhs = np.concatenate([labels, np.zeros(cols)])
-    return a, rhs
-
-
-def _solve(phi, q, labels, lam, least_squares=False):
-    a, rhs = _system(phi, q, labels, lam)
-    if least_squares:
-        sol = np.linalg.lstsq(a, rhs, rcond=None)[0]
-    else:
-        sol = np.linalg.solve(a, rhs)
-    d = phi.shape[0]
-    return sol[:d], sol[d:]
-
-
 def train_surrogate(archive: TrainingArchive) -> RbfModel:
     """Fit the surrogate to the archive's current samples.
 
@@ -194,12 +172,17 @@ def train_surrogate(archive: TrainingArchive) -> RbfModel:
 
     phi = cdist(centers, centers) ** 3
     q = np.hstack([centers, np.ones((d, 1))])
+    a = np.zeros((d + s + 1, d + s + 1))
+    a[:d, :d] = phi
+    a[:d, d:] = q
+    a[d:, :d] = q.T
+    rhs = np.concatenate([labels, np.zeros(s + 1)])
 
-    def build(omega, gamma, regularized):
+    def build(sol, regularized):
         return RbfModel(
-            omega=omega,
-            beta=gamma[:s].copy(),
-            alpha=float(gamma[s]),
+            omega=sol[:d],
+            beta=sol[d:d + s].copy(),
+            alpha=float(sol[d + s]),
             centers=centers,
             lower=archive.lower.copy(),
             upper=archive.upper.copy(),
@@ -207,29 +190,31 @@ def train_surrogate(archive: TrainingArchive) -> RbfModel:
         )
 
     try:
-        omega, gamma = _solve(phi, q, labels, 0.0)
-        if np.all(np.isfinite(omega)) and np.all(np.isfinite(gamma)):
-            residual = phi @ omega + q @ gamma - labels
+        sol = np.linalg.solve(a, rhs)
+        if np.all(np.isfinite(sol)):
+            residual = phi @ sol[:d] + q @ sol[d:] - labels
             tol = INTERP_RTOL * max(1.0, float(np.max(np.abs(labels))))
             if np.max(np.abs(residual)) <= tol:
-                return build(omega, gamma, False)
+                return build(sol, False)
     except np.linalg.LinAlgError:
         pass
 
     # ridge on the radial block; the cubic kernel has a zero diagonal so the
-    # scale is taken from the mean off-diagonal entry
+    # scale is taken from the mean off-diagonal entry. np.linalg.solve copies
+    # its inputs, so ``a`` still holds the unridged system at this point.
     lam = 1e-10 * float(phi.mean())
     if lam <= 0.0:
         lam = 1e-12
+    a[:d, :d] += lam * np.eye(d)
     try:
-        omega, gamma = _solve(phi, q, labels, lam)
-        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(gamma))):
+        sol = np.linalg.solve(a, rhs)
+        if not np.all(np.isfinite(sol)):
             raise np.linalg.LinAlgError("non-finite solution")
     except np.linalg.LinAlgError:
         try:
-            omega, gamma = _solve(phi, q, labels, lam, least_squares=True)
+            sol = np.linalg.lstsq(a, rhs, rcond=None)[0]
         except np.linalg.LinAlgError as exc:
             raise TrainingError("interpolation system singular") from exc
-    if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(gamma))):
+    if not np.all(np.isfinite(sol)):
         raise TrainingError("interpolation system produced non-finite weights")
-    return build(omega, gamma, True)
+    return build(sol, True)

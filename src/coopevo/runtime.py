@@ -6,11 +6,25 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .benchmarks import BenchmarkFunction
 from .decomposition import Decomposition, SubProblem, embed
+
+
+def write_table(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> Path:
+    """Write ``header`` and then ``rows`` as CSV to ``path``, creating its
+    parent directory. The one CSV writer of every run output; values are
+    written as given, so callers format floats (``repr``) themselves."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 class BudgetExhausted(RuntimeError):
@@ -92,11 +106,7 @@ class GenRow:
 class RunRecord:
     """Everything needed to audit one optimization run."""
 
-    algorithm: str
-    function_id: str
-    n: int
     seed: int
-    params: RunParams
     rows: list[GenRow] = field(default_factory=list)
     final_x: np.ndarray | None = None
     final_f: float = float("nan")
@@ -114,15 +124,11 @@ class RunRecord:
         self.rows.append(GenRow(generation, sub_id, fe_used, f_best))
 
     def write_csv(self, path: str | Path):
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(self.HEADER)
-            for row in self.rows:
-                writer.writerow(
-                    [row.generation, row.sub_id, row.fe_used, repr(row.f_best)]
-                )
+        write_table(
+            path,
+            self.HEADER,
+            ((row.generation, row.sub_id, row.fe_used, repr(row.f_best)) for row in self.rows),
+        )
 
 
 class CooperativeRun:
@@ -166,13 +172,7 @@ class CooperativeRun:
 
         self.cursor = 0
         self.generation = 0
-        self.record = RunRecord(
-            algorithm=self.algorithm,
-            function_id=fn.fid,
-            n=fn.n,
-            seed=seed,
-            params=params,
-        )
+        self.record = RunRecord(seed=seed)
 
     @staticmethod
     def min_budget(decomposition: Decomposition, params: RunParams) -> int:

@@ -103,6 +103,22 @@ def test_config_file_rejects_non_object_top_level(tmp_path, capsys, content):
     assert capsys.readouterr().err.strip() == "error: config file must hold a JSON object"
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("dim", "20"), ("runs", 1.0), ("p", 25.0), ("budget", 500.5), ("budget", True), ("out", 5)],
+    ids=["dim-string", "runs-float", "p-float", "budget-fraction", "budget-bool", "out-number"],
+)
+def test_config_file_rejects_wrong_value_types(tmp_path, capsys, key, value):
+    cfg = {"functions": ["f01"], "dim": 20, "algorithm": "sacc", "budget": 500, "runs": 1,
+           "p": 25, "q": 5, "s_sep": 5, "out": str(tmp_path / "out")}
+    cfg[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must be")
+    assert not (tmp_path / "out").exists()
+
+
 def test_fes_to_match_subcommand(tmp_path, capsys):
     trace = tmp_path / "convergence.csv"
     trace.write_text("fe,mean_fv,std_fv\n100,10.0,0.0\n200,5.0,0.0\n")
@@ -110,6 +126,15 @@ def test_fes_to_match_subcommand(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "200"
     assert main(["fes-to-match", "--target", "1.0", "--trace", str(trace)]) == 0
     assert capsys.readouterr().out.strip() == "not reached"
+
+
+def test_fes_to_match_rejects_nan_target(tmp_path, capsys):
+    trace = tmp_path / "convergence.csv"
+    trace.write_text("fe,mean_fv,std_fv\n100,10.0,0.0\n200,5.0,0.0\n")
+    assert main(["fes-to-match", "--target", "nan", "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("content", ["", "fe,mean_fv,std_fv\n"], ids=["empty", "header-only"])

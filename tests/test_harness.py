@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -16,7 +17,7 @@ from coopevo.harness import (
     read_convergence,
     run_experiment,
 )
-from coopevo.runtime import RunRecord
+from coopevo.runtime import GenRow, RunRecord
 
 
 def tiny_config(**kw):
@@ -37,7 +38,7 @@ def tiny_config(**kw):
 
 
 def fake_record(seed, rows):
-    rec = RunRecord(algorithm="sacc", function_id="fx", n=4, seed=seed, params={})
+    rec = RunRecord(seed=seed)
     for gen, (fe, fv) in enumerate(rows):
         rec.add_row(gen, 0, fe, fv)
     rec.final_f = rows[-1][1]
@@ -105,6 +106,12 @@ def test_fes_to_match_not_reached():
 def test_fes_to_match_rejects_empty():
     with pytest.raises(ValueError):
         fes_to_match(1.0, np.empty((0, 3)))
+
+
+def test_fes_to_match_rejects_nan_target():
+    curve = np.array([[100.0, 10.0, 0.0], [200.0, 5.0, 0.0]])
+    with pytest.raises(ValueError, match="NaN"):
+        fes_to_match(float("nan"), curve)
 
 
 # --- curve aggregation ----------------------------------------------------------
@@ -180,6 +187,8 @@ def test_config_validation():
         tiny_config(seed=-1)
     with pytest.raises(ValueError, match="suite_seed"):
         tiny_config(suite_seed=-3)
+    with pytest.raises(ValueError, match="^algorithm must be a string"):
+        tiny_config(algorithm=1)
 
 
 def test_run_experiment_writes_complete_output(tmp_path):
@@ -197,6 +206,47 @@ def test_run_experiment_writes_complete_output(tmp_path):
     assert "code_version" in manifest
     row = result.summary_for("f01")
     assert row.best <= row.median <= row.worst
+
+
+# --- output file schemas ----------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    out = tmp_path_factory.mktemp("schemas")
+    result = run_experiment(tiny_config(out=str(out)))
+    return result, out / "f01" / "sacc"
+
+
+def read_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))
+
+
+def test_summary_csv_schema_and_float_round_trip(written):
+    result, out = written
+    header, *rows = read_rows(out / "summary.csv")
+    assert header == ["function", "algorithm", "budget", "runs",
+                      "best", "median", "worst", "mean", "std"]
+    assert len(rows) == 1
+    summary = result.summary_for("f01")
+    assert rows[0][:4] == ["f01", "sacc", "600", "2"]
+    assert summary.std > 0.0
+    for name, text in zip(header[4:], rows[0][4:]):
+        assert float(text).hex() == getattr(summary, name).hex(), name
+
+
+def test_run_csv_rows_equal_record_rows(written):
+    result, out = written
+    for rec in result.records["f01"]:
+        header, *rows = read_rows(out / f"run_{rec.seed}.csv")
+        assert header == ["generation", "sub_id", "fe_used", "f_best"]
+        parsed = [GenRow(int(g), int(k), int(fe), float(fv)) for g, k, fe, fv in rows]
+        assert parsed == rec.rows
+
+
+def test_convergence_csv_header(written):
+    _, out = written
+    assert (out / "convergence.csv").read_text().splitlines()[0] == "fe,mean_fv,std_fv"
 
 
 def test_run_experiment_deterministic_bytes(tmp_path):
