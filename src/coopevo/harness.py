@@ -74,8 +74,8 @@ class ExperimentConfig:
         for name in ("seed", "suite_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if isinstance(self.functions, str):
-            raise ValueError("functions must be a list of ids, not a single string")
+        if not isinstance(self.functions, (list, tuple)):
+            raise ValueError(f"functions must be a list of ids, got {self.functions!r}")
         object.__setattr__(self, "functions", tuple(self.functions))
         if not self.functions:
             raise ValueError("at least one function id required")
@@ -167,6 +167,8 @@ def export_convergence(records: list[RunRecord], path: str | Path) -> Path:
 
 
 def read_convergence(path: str | Path) -> np.ndarray:
+    """The (fe, mean_fv, std_fv) rows of a convergence CSV; a bad header or
+    row is a ValueError naming the file and line."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -174,7 +176,13 @@ def read_convergence(path: str | Path) -> np.ndarray:
             raise ValueError(f"empty convergence file {path}")
         if header != CONVERGENCE_HEADER:
             raise ValueError(f"unexpected convergence header {header}")
-        rows = [(float(a), float(b), float(c)) for a, b, c in reader]
+        rows = []
+        for row in reader:
+            try:
+                fe, mean_fv, std_fv = map(float, row)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: bad row {row}: {exc}") from None
+            rows.append((fe, mean_fv, std_fv))
     return np.asarray(rows)
 
 

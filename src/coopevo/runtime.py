@@ -1,5 +1,6 @@
 """Shared run-time pieces: evaluation budget, context vector, run records,
-and the cooperative run loop both optimizers are built on."""
+the per-sub-problem SHADE search state and the cooperative run loop both
+optimizers are built on."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import numpy as np
 
 from .benchmarks import BenchmarkFunction
 from .decomposition import Decomposition, SubProblem, embed
+from .shade import InferiorArchive, ParameterMemory, generate_trials
 
 
 def write_table(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> Path:
@@ -131,15 +133,46 @@ class RunRecord:
         )
 
 
+@dataclass
+class SubState:
+    """SHADE search state of one sub-problem, the same in both optimizers.
+
+    ``pop_vals`` scores the members, larger is better: improvements over the
+    context in ``sacc``, negated fitness in ``shade-cc``.
+    """
+
+    sub: SubProblem
+    pop: np.ndarray            # (p, s) sub-solutions
+    pop_vals: np.ndarray       # (p,) their scores, larger is better
+    memory: ParameterMemory
+    inferior: InferiorArchive
+    rng: np.random.Generator
+
+    def trials(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One trial per member and the (F, CR) each was made with."""
+        return generate_trials(
+            self.pop, self.pop_vals, self.inferior, self.memory,
+            self.sub.lower, self.sub.upper, self.rng,
+        )
+
+    def adapt(self, won: np.ndarray, f_used: np.ndarray, cr_used: np.ndarray, gains: np.ndarray):
+        """SHADE's success update: the beaten parents ``pop[won]`` enter the
+        inferior archive and the winning (F, CR) pairs, weighted by
+        ``gains``, the memory. Call before the winners replace them."""
+        self.inferior.replace_random(self.pop[won], self.rng)
+        self.memory.update(f_used[won], cr_used[won], gains)
+
+
 class CooperativeRun:
     """Scaffolding of one seeded cooperative-coevolution run.
 
     Owns everything both optimizers share: the dimension and budget checks,
     the evaluation budget, the seed streams (``rng`` for the run,
     ``sub_rngs[g]`` per sub-problem), the charged random context vector, the
-    one charged row evaluator ``evaluate_rows``, the round-robin ``cursor``,
-    the ``generation`` count and the run record. Subclasses set
-    ``algorithm`` and add their evaluation policy.
+    seeding of each sub-problem's ``SubState`` (``new_sub``), the one charged
+    row evaluator ``evaluate_rows``, the round-robin ``cursor``, the
+    ``generation`` count and the run record. Subclasses set ``algorithm``
+    and add their evaluation policy.
     """
 
     algorithm: str
@@ -179,6 +212,16 @@ class CooperativeRun:
         """Real evaluations spent before the first generation: the charged
         ``x0``. An optimizer whose set-up costs more overrides this."""
         return 1
+
+    def new_sub(self, g: int, n: int) -> SubState:
+        """Seed sub-problem ``g`` from ``sub_rngs[g]``: a ``p``-row inferior
+        archive, then ``n`` uniform population rows, all scored ``-inf``."""
+        sub, rng = self.decomposition.subproblems[g], self.sub_rngs[g]
+        inferior = InferiorArchive(rng.uniform(sub.lower, sub.upper, (self.params.p, sub.s)))
+        pop = rng.uniform(sub.lower, sub.upper, (n, sub.s))
+        return SubState(
+            sub, pop, np.full(n, -np.inf), ParameterMemory(self.params.memory_size), inferior, rng
+        )
 
     def add_row(self, sub_id: int, f_best: float):
         """Trace the current generation, budget use and best value."""

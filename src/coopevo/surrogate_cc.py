@@ -14,11 +14,12 @@ whenever the context improves by ``delta``, the affected sub-problem's
 stored improvements are shifted down by ``delta`` so they stay comparable.
 
 This module holds only that evaluation policy (surrogate screening, the
-training archive and the audit); seeding, budget, context and run record
-come from ``runtime.CooperativeRun`` and the trial vectors from
-``shade.generate_trials``, exactly as in the full-evaluation baseline. Every
-charged evaluation, the initial pool and the screened trials alike, goes
-through the one charged row evaluator, ``CooperativeRun.evaluate_rows``.
+training archives and the audit); seeding, budget, context and run record
+come from ``runtime.CooperativeRun``, and the population, trial generation
+and SHADE adaptation from ``runtime.SubState``, exactly as in the
+full-evaluation baseline. Every charged evaluation, the initial pool and the
+screened trials alike, goes through the one charged row evaluator,
+``CooperativeRun.evaluate_rows``.
 """
 
 from __future__ import annotations
@@ -29,38 +30,12 @@ from typing import Callable
 import numpy as np
 
 from .benchmarks import BenchmarkFunction
-from .decomposition import Decomposition, SubProblem, embed
+from .decomposition import Decomposition, embed
 from .rbf import TrainingArchive, TrainingError, train_surrogate
-from .runtime import (
-    AuditFailure,
-    BudgetExhausted,
-    CooperativeRun,
-    RunParams,
-    RunRecord,
-)
-from .shade import (
-    InferiorArchive,
-    ParameterMemory,
-    generate_trials,
-    select_best,
-    two_step_select,
-    worst_replacement,
-)
+from .runtime import AuditFailure, BudgetExhausted, CooperativeRun, RunParams, RunRecord
+from .shade import select_best, two_step_select, worst_replacement
 
 AUDIT_RTOL = 1e-9
-
-
-@dataclass
-class SubState:
-    """Mutable per-sub-problem search state."""
-
-    sub: SubProblem
-    archive: TrainingArchive
-    pop: np.ndarray            # (p, s) real-evaluated sub-solutions
-    pop_vals: np.ndarray       # (p,) their improvements vs current context
-    memory: ParameterMemory
-    inferior: InferiorArchive
-    rng: np.random.Generator
 
 
 @dataclass
@@ -107,27 +82,18 @@ class SurrogateCC(CooperativeRun):
         super().__init__(fn, decomposition, params, seed)
         self.audit = audit
 
-        self.subs: list[SubState] = []
-        for sub, rng in zip(decomposition.subproblems, self.sub_rngs):
-            p = params.p
+        self.subs = []
+        self.archives: list[TrainingArchive] = []
+        for g, sub in enumerate(decomposition.subproblems):
             d = params.d_factor * sub.s
-            inferior = InferiorArchive(rng.uniform(sub.lower, sub.upper, (p, sub.s)))
-            pool = rng.uniform(sub.lower, sub.upper, (max(d, p), sub.s))
-            vals = self.context.f - self.evaluate_rows(sub, pool)
+            st = self.new_sub(g, max(d, params.p))
+            vals = self.context.f - self.evaluate_rows(sub, st.pop)
             archive = TrainingArchive(d, sub.lower, sub.upper)
-            archive.fill(pool[-d:], vals[-d:])
-            best = select_best(vals, p)
-            self.subs.append(
-                SubState(
-                    sub=sub,
-                    archive=archive,
-                    pop=pool[best].copy(),
-                    pop_vals=vals[best].copy(),
-                    memory=ParameterMemory(params.memory_size),
-                    inferior=inferior,
-                    rng=rng,
-                )
-            )
+            archive.fill(st.pop[-d:], vals[-d:])
+            best = select_best(vals, params.p)
+            st.pop, st.pop_vals = st.pop[best], vals[best]
+            self.subs.append(st)
+            self.archives.append(archive)
         self.add_row(-1, self.context.f)
 
     def step(self, predictor: Callable[[np.ndarray], np.ndarray] | None = None) -> GenReport:
@@ -141,21 +107,19 @@ class SurrogateCC(CooperativeRun):
             raise BudgetExhausted("no budget left for another generation")
 
         g = self.cursor
-        st = self.subs[g]
-        sub, rng = st.sub, st.rng
+        st, archive = self.subs[g], self.archives[g]
+        sub = st.sub
         p, q = self.params.p, self.params.q
 
         fallback = False
         if predictor is None:
             try:
-                model = train_surrogate(st.archive)
+                model = train_surrogate(archive)
                 predictor = model.predict_batch
             except TrainingError:
                 fallback = True
 
-        trials, f_used, cr_used = generate_trials(
-            st.pop, st.pop_vals, st.inferior, st.memory, sub.lower, sub.upper, rng
-        )
+        trials, f_used, cr_used = st.trials()
 
         if fallback:
             # no usable surrogate: evaluate every trial against the real
@@ -173,16 +137,13 @@ class SurrogateCC(CooperativeRun):
             q,
             lambda idx: self.context.f - self.evaluate_rows(sub, trials[idx]),
         )
-        st.inferior.replace_random(st.pop[successes], rng)
-        st.memory.update(
-            f_used[successes],
-            cr_used[successes],
-            trial_scores[successes] - parent_scores[successes],
+        st.adapt(
+            successes, f_used, cr_used, trial_scores[successes] - parent_scores[successes]
         )
 
         if evaluated.size:
-            batch = evaluated[-st.archive.capacity:]
-            st.archive.push(trials[batch], trial_scores[batch])
+            batch = evaluated[-archive.capacity:]
+            archive.push(trials[batch], trial_scores[batch])
             worst_replacement(
                 st.pop, st.pop_vals, trials[evaluated], trial_scores[evaluated]
             )
@@ -192,7 +153,7 @@ class SurrogateCC(CooperativeRun):
         gain = float(st.pop_vals[best])
         if gain > 0.0:
             self.adopt(sub, st.pop[best], self.context.f - gain)
-            st.archive.rebase(gain)
+            archive.rebase(gain)
             st.pop_vals -= gain
             context_updated = True
             if self.audit:

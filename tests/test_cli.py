@@ -105,8 +105,10 @@ def test_config_file_rejects_non_object_top_level(tmp_path, capsys, content):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("dim", "20"), ("runs", 1.0), ("p", 25.0), ("budget", 500.5), ("budget", True), ("out", 5)],
-    ids=["dim-string", "runs-float", "p-float", "budget-fraction", "budget-bool", "out-number"],
+    [("dim", "20"), ("runs", 1.0), ("p", 25.0), ("budget", 500.5), ("budget", True), ("out", 5),
+     ("functions", 5), ("functions", None)],
+    ids=["dim-string", "runs-float", "p-float", "budget-fraction", "budget-bool", "out-number",
+         "functions-number", "functions-null"],
 )
 def test_config_file_rejects_wrong_value_types(tmp_path, capsys, key, value):
     cfg = {"functions": ["f01"], "dim": 20, "algorithm": "sacc", "budget": 500, "runs": 1,
@@ -142,6 +144,16 @@ def test_fes_to_match_rejects_curve_without_rows(tmp_path, capsys, content):
     trace = tmp_path / "convergence.csv"
     trace.write_text(content)
     assert main(["fes-to-match", "--target", "1.0", "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["fes-to-match", "--target", "1", "--trace", "{dir}"], ["run", "--config", "{dir}"]],
+    ids=["fes-to-match-trace", "run-config"],
+)
+def test_directory_path_is_an_error_not_a_traceback(tmp_path, capsys, args):
+    assert main([a.format(dir=tmp_path) for a in args]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,14 @@ def test_export_convergence_schema(tmp_path):
     assert header == "fe,mean_fv,std_fv"
     curve = read_convergence(path)
     assert curve.shape == (2, 3)
+
+
+@pytest.mark.parametrize("row", ["100,1.0", "100,abc,1"], ids=["short", "not-a-number"])
+def test_read_convergence_names_file_and_line_of_bad_row(tmp_path, row):
+    path = tmp_path / "convergence.csv"
+    path.write_text(f"fe,mean_fv,std_fv\n100,10.0,0.0\n{row}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}, line 3: "):
+        read_convergence(path)
 
 
 # --- summary -------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Import hygiene: no module imports a name it never uses, and the
-package's ``__all__`` matches what it binds.
+"""Import hygiene: no module imports a name it never uses, the package's
+``__all__`` matches what it binds, and every name the benchmark's tracer
+wraps still exists.
 
 A standard-library stand-in for a linter's unused-import rule. Names listed
 in a module's ``__all__`` count as used (re-exports), and ``from __future__``
@@ -8,6 +9,7 @@ imports are compiler directives, so they are skipped.
 
 import ast
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +74,29 @@ def test_package_all_lists_exactly_its_public_names():
     }
     assert sorted(coopevo.__all__) == sorted(bound)
     assert len(coopevo.__all__) == len(set(coopevo.__all__))
+
+
+def test_perfbench_patch_points_exist(monkeypatch):
+    # the benchmark's traced run wraps coopevo functions and methods by
+    # name; a refactor that drops one of them fails here, not only in the
+    # benchmark's own slow self-test. Nothing is written under perfbench/.
+    from coopevo import shade, surrogate_cc
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    originals = (shade.mutate_crossover, vars(surrogate_cc.SurrogateCC)["step"])
+    try:
+        import layers
+        import spans
+
+        tracer = spans.Tracer()
+        try:
+            layers.install(tracer)
+            assert tracer._patches
+            assert shade.mutate_crossover is not originals[0]
+        finally:
+            tracer.restore()
+    finally:
+        sys.modules.pop("layers", None)
+        sys.modules.pop("spans", None)
+    assert (shade.mutate_crossover, vars(surrogate_cc.SurrogateCC)["step"]) == originals

@@ -3,7 +3,7 @@ import pytest
 
 from coopevo.benchmarks import make_separable
 from coopevo.decomposition import ideal_decompose
-from coopevo.runtime import CooperativeRun, RunParams
+from coopevo.runtime import CooperativeRun, RunParams, SubState
 from coopevo.shade_cc import ShadeCC
 from coopevo.surrogate_cc import SurrogateCC
 
@@ -96,17 +96,21 @@ def test_improves_on_single_block_problem():
 
 
 def test_shares_operator_code_with_surrogate_optimizer():
-    # parity guard: both optimizers must call the very same trial generator
-    # and run scaffolding, so the comparison isolates the evaluation policy
-    import coopevo.shade as shade
+    # parity guard: both optimizers keep their per-sub-problem search in the
+    # one shared state, and neither module binds the SHADE operators itself,
+    # so the comparison isolates the evaluation policy
     import coopevo.shade_cc as shade_cc
     import coopevo.surrogate_cc as surrogate_cc
 
-    assert shade_cc.generate_trials is surrogate_cc.generate_trials is shade.generate_trials
-    assert issubclass(ShadeCC, CooperativeRun)
-    assert issubclass(SurrogateCC, CooperativeRun)
-    assert shade_cc.ParameterMemory is surrogate_cc.ParameterMemory is shade.ParameterMemory
-    assert shade_cc.InferiorArchive is surrogate_cc.InferiorArchive is shade.InferiorArchive
+    fn, decomp, cc = make_cc()
+    sacc = SurrogateCC(fn, decomp, RunParams(max_fe=3000, p=20), seed=1)
+    for opt in (cc, sacc):
+        assert isinstance(opt, CooperativeRun)
+        assert len(opt.subs) == decomp.k
+        assert all(type(st) is SubState for st in opt.subs)
+    for module in (shade_cc, surrogate_cc):
+        for name in ("generate_trials", "InferiorArchive", "ParameterMemory"):
+            assert not hasattr(module, name), f"{module.__name__} binds {name}"
 
 
 @pytest.mark.parametrize("cls", [SurrogateCC, ShadeCC], ids=lambda cls: cls.algorithm)

@@ -109,15 +109,15 @@ def test_initialization_cost_with_small_archive():
     assert initialization_cost(decomp, params) == 1 + 2 * 40
     opt = SurrogateCC(fn, decomp, params, seed=1)
     assert opt.budget.used == 81
-    for st in opt.subs:
-        assert len(st.archive) == 25
+    for st, archive in zip(opt.subs, opt.archives):
+        assert len(archive) == 25
         assert st.pop.shape == (40, 5)
 
 
 def test_archive_size_is_five_times_dimension():
     fn, decomp = small_problem(dim=40, s_sep=20)
     opt = SurrogateCC(fn, decomp, RunParams(max_fe=500, p=100), seed=1)
-    assert all(len(st.archive) == 100 for st in opt.subs)
+    assert all(len(archive) == 100 for archive in opt.archives)
 
 
 def test_initialization_rejects_insufficient_budget():
@@ -132,8 +132,9 @@ def test_initial_state_deterministic_per_seed():
     for sa, sb in zip(a.subs, b.subs):
         assert np.array_equal(sa.pop, sb.pop)
         assert np.array_equal(sa.pop_vals, sb.pop_vals)
-        assert np.array_equal(sa.archive.points, sb.archive.points)
         assert np.array_equal(sa.inferior.slots, sb.inferior.slots)
+    for ra, rb in zip(a.archives, b.archives):
+        assert np.array_equal(ra.points, rb.points)
     assert np.array_equal(a.context.x, b.context.x)
     assert a.context.f == b.context.f
 
@@ -285,9 +286,9 @@ def test_partial_final_generation_truncates_cleanly():
     assert record.loop_real_evals == 4 * 3 + 2
     last = record.rows[-1]
     assert last.fe_used == params.max_fe
-    for st in opt.subs:
+    for st, archive in zip(opt.subs, opt.archives):
         assert st.pop.shape == (20, 5)
-        assert len(st.archive) == 25
+        assert len(archive) == 25
 
 
 def test_fallback_generations_evaluate_every_trial():
