@@ -6,10 +6,9 @@ Subcommands:
     fes-to-match  evaluations a baseline curve needs to reach a target value
     plot          render convergence curves (requires matplotlib)
 
-Flags mirror the experiment configuration; a JSON config file passed via
---config supplies defaults that explicit flags override. The output
-directory can be forced globally with the COOPEVO_OUTDIR environment
-variable.
+Flags and config-file keys come from the ``ExperimentConfig`` fields, one
+``--name-with-dashes`` flag per field with its help and default; a JSON file
+passed via --config supplies values that explicit flags override.
 """
 
 from __future__ import annotations
@@ -30,34 +29,22 @@ from .harness import (
     run_experiment,
 )
 
-_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+_CONFIG_FIELDS = dataclasses.fields(ExperimentConfig)
+_REQUIRED = [f.name for f in _CONFIG_FIELDS if f.default is dataclasses.MISSING]
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, with_algorithm: bool):
     parser.add_argument("--config", type=Path, help="JSON file with config defaults")
-    parser.add_argument("--function", action="append", dest="functions",
-                        help="suite function id, e.g. f01 (repeatable)")
-    parser.add_argument("--dim", type=int, help="problem dimension (multiple of 20)")
-    parser.add_argument("--budget", type=int, help="maximum real evaluations per run")
-    parser.add_argument("--runs", type=int, help="independent runs per function (default 25)")
-    parser.add_argument("--seed", type=int, help="base seed; runs use seed..seed+runs-1")
-    parser.add_argument("--s-sep", type=int, dest="s_sep",
-                        help="sub-problem size for separable variables (default 20)")
-    parser.add_argument("--p", type=int, help="population size per sub-problem (default 100)")
-    parser.add_argument("--q", type=int,
-                        help="trials re-evaluated per generation, surrogate mode (default 10)")
-    parser.add_argument("--d-factor", type=int, dest="d_factor",
-                        help="surrogate archive size as multiple of sub-problem size (default 5)")
-    parser.add_argument("--memory-size", type=int, dest="memory_size",
-                        help="success-history memory entries (default 10)")
-    parser.add_argument("--visit-len", type=int, dest="visit_len",
-                        help="generations per sub-problem visit, baseline mode (default 100)")
-    parser.add_argument("--suite-seed", type=int, dest="suite_seed",
-                        help="seed for benchmark shift/rotation synthesis (default 1)")
-    parser.add_argument("--out", help="output directory (default ./results)")
-    if with_algorithm:
-        parser.add_argument("--algorithm", choices=ALGORITHMS,
-                            help="'sacc' = surrogate-assisted CC, 'shade-cc' = full-evaluation CC")
+    for f in _CONFIG_FIELDS:
+        if f.name == "algorithm" and not with_algorithm:
+            continue
+        default = "" if f.default is dataclasses.MISSING else f" (default {f.default})"
+        parser.add_argument(
+            "--function" if f.name == "functions" else "--" + f.name.replace("_", "-"),
+            dest=f.name, help=f.metadata["help"] + default, type=int if f.type == "int" else None,
+            action="append" if f.name == "functions" else "store",
+            choices=ALGORITHMS if f.name == "algorithm" else None,
+        )
 
 
 def _build_config(args: argparse.Namespace, default_algorithm: str | None = None) -> ExperimentConfig:
@@ -67,17 +54,17 @@ def _build_config(args: argparse.Namespace, default_algorithm: str | None = None
             loaded = json.load(handle)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(loaded) - set(_CONFIG_FIELDS)
+        unknown = set(loaded) - {f.name for f in _CONFIG_FIELDS}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
-    for name in _CONFIG_FIELDS:
-        flag = getattr(args, name, None)
+    for f in _CONFIG_FIELDS:
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[name] = flag
+            values[f.name] = flag
     if default_algorithm is not None:
         values.setdefault("algorithm", default_algorithm)
-    missing = [k for k in ("functions", "dim", "algorithm", "budget") if k not in values]
+    missing = [name for name in _REQUIRED if name not in values]
     if missing:
         raise ValueError(f"missing required settings: {missing}")
     return ExperimentConfig(**values)

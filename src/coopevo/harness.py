@@ -12,6 +12,9 @@ Every experiment writes a self-describing output directory:
 Every CSV file goes through ``runtime.write_table``, the one CSV writer;
 floats are written with ``repr`` so they parse back bit-equal.
 
+``ExperimentConfig`` declares each setting once (type, default, help); the
+CLI flags and config-file keys are its fields.
+
 Runs with the same config are bit-reproducible under a fixed BLAS thread
 configuration (the thread count can reorder floating-point sums), so any
 file here can be regenerated from the manifest and that configuration.
@@ -42,22 +45,27 @@ ALGORITHMS = tuple(OPTIMIZERS)
 OUTDIR_ENV = "COOPEVO_OUTDIR"
 
 
+def _setting(text: str, default=dataclasses.MISSING):
+    """A config field carrying its one-line CLI help."""
+    return dataclasses.field(default=default, metadata={"help": text})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    functions: tuple[str, ...]
-    dim: int
-    algorithm: str
-    budget: int
-    runs: int = 25
-    seed: int = 1
-    s_sep: int = 20
-    p: int = 100
-    q: int = 10
-    d_factor: int = 5
-    memory_size: int = 10
-    visit_len: int = 100
-    suite_seed: int = 1
-    out: str = "results"
+    functions: tuple[str, ...] = _setting("suite function id, e.g. f01 (repeatable)")
+    dim: int = _setting("problem dimension (multiple of 20)")
+    algorithm: str = _setting("'sacc' = surrogate-assisted CC, 'shade-cc' = full-evaluation CC")
+    budget: int = _setting("maximum real evaluations per run")
+    runs: int = _setting("independent runs per function", 25)
+    seed: int = _setting("base seed; runs use seed..seed+runs-1", 1)
+    s_sep: int = _setting("sub-problem size for separable variables", 20)
+    p: int = _setting("population size per sub-problem", RunParams.p)
+    q: int = _setting("trials re-evaluated per generation, sacc", RunParams.q)
+    d_factor: int = _setting("surrogate archive rows per sub-problem variable", RunParams.d_factor)
+    memory_size: int = _setting("success-history memory entries", RunParams.memory_size)
+    visit_len: int = _setting("generations per sub-problem visit, shade-cc", RunParams.visit_len)
+    suite_seed: int = _setting("seed for benchmark shift/rotation synthesis", 1)
+    out: str = _setting(f"output directory; {OUTDIR_ENV} overrides it", "results")
 
     def __post_init__(self):
         # a config file can carry any JSON type; bool is an int subclass
@@ -67,6 +75,7 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "str" and not isinstance(value, str):
                 raise ValueError(f"{f.name} must be a string, got {value!r}")
+        object.__setattr__(self, "out", os.environ.get(OUTDIR_ENV, self.out))
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.runs < 1:
@@ -82,21 +91,15 @@ class ExperimentConfig:
         unknown = [fid for fid in self.functions if fid not in FUNCTION_IDS]
         if unknown:
             raise ValueError(f"unknown function ids {unknown}")
+        repeated = sorted({fid for fid in self.functions if self.functions.count(fid) > 1})
+        if repeated:
+            raise ValueError(f"duplicate function ids {repeated}")
         # RunParams validates the optimizer parameters
         self.run_params()
 
     def run_params(self) -> RunParams:
-        return RunParams(
-            max_fe=self.budget,
-            p=self.p,
-            q=self.q,
-            d_factor=self.d_factor,
-            memory_size=self.memory_size,
-            visit_len=self.visit_len,
-        )
-
-    def out_dir(self) -> Path:
-        return Path(os.environ.get(OUTDIR_ENV, self.out))
+        shared = [f.name for f in dataclasses.fields(RunParams) if f.name != "max_fe"]
+        return RunParams(max_fe=self.budget, **{name: getattr(self, name) for name in shared})
 
 
 @dataclass(frozen=True)
@@ -275,7 +278,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
         all_records[fid] = records
 
         if write:
-            out = config.out_dir() / fid / config.algorithm
+            out = Path(config.out) / fid / config.algorithm
             for rec in records:
                 rec.write_csv(out / f"run_{rec.seed}.csv")
             export_convergence(records, out / "convergence.csv")

@@ -28,7 +28,7 @@ class ParameterMemory:
     success; generations without successes leave the memory untouched.
     """
 
-    def __init__(self, size: int = 10):
+    def __init__(self, size: int):
         if size < 1:
             raise ValueError("memory size must be >= 1")
         self.f = np.full(size, 0.5)

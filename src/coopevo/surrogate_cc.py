@@ -141,12 +141,10 @@ class SurrogateCC(CooperativeRun):
             successes, f_used, cr_used, trial_scores[successes] - parent_scores[successes]
         )
 
-        if evaluated.size:
-            batch = evaluated[-archive.capacity:]
-            archive.push(trials[batch], trial_scores[batch])
-            worst_replacement(
-                st.pop, st.pop_vals, trials[evaluated], trial_scores[evaluated]
-            )
+        # the budget check above leaves at least one of the q >= 1 rows paid for
+        batch = evaluated[-archive.capacity:]
+        archive.push(trials[batch], trial_scores[batch])
+        worst_replacement(st.pop, st.pop_vals, trials[evaluated], trial_scores[evaluated])
 
         context_updated = False
         best = int(np.argmax(st.pop_vals))

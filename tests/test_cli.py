@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import re
 
 import pytest
 
 from coopevo.cli import main
+from coopevo.harness import ExperimentConfig
 
 
 def base_args(tmp_path, extra=()):
@@ -49,6 +52,30 @@ def test_budget_too_small_for_a_later_function_writes_nothing(tmp_path, capsys):
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error: f04: budget 150 below initialization cost 201")
     assert not out.exists() or not any(out.iterdir())
+
+
+def help_entries(capsys, command):
+    """Flag -> one-line help text of every config flag in ``<command> --help``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    options = capsys.readouterr().out.split("options:\n", 1)[1]
+    entries = re.findall(r"^  (--[^\n]*(?:\n {3,}[^\n]*)*)", options, flags=re.M)
+    flags = (" ".join(entry.split()).split(" ", 1) for entry in entries)
+    return {flag: text for flag, text in flags if flag != "--config"}
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_help_shows_one_flag_per_config_field_with_its_default(capsys, command):
+    fields = [f for f in dataclasses.fields(ExperimentConfig)
+              if command == "run" or f.name != "algorithm"]
+    names = {"--function" if f.name == "functions" else "--" + f.name.replace("_", "-"): f
+             for f in fields}
+    entries = help_entries(capsys, command)
+    assert sorted(entries) == sorted(names)
+    for flag, f in names.items():
+        if f.default is not dataclasses.MISSING:
+            assert entries[flag].endswith(f"(default {f.default})"), flag
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -198,6 +198,8 @@ def test_config_validation():
         tiny_config(suite_seed=-3)
     with pytest.raises(ValueError, match="^algorithm must be a string"):
         tiny_config(algorithm=1)
+    with pytest.raises(ValueError, match=re.escape("duplicate function ids ['f01']")):
+        tiny_config(functions=("f01", "f05", "f01"))
 
 
 def test_run_experiment_writes_complete_output(tmp_path):
@@ -273,8 +275,12 @@ def test_outdir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("COOPEVO_OUTDIR", str(tmp_path / "forced"))
     config = tiny_config(out=str(tmp_path / "ignored"))
     run_experiment(config)
-    assert (tmp_path / "forced" / "f01" / "sacc" / "summary.csv").exists()
+    forced = tmp_path / "forced" / "f01" / "sacc"
+    assert (forced / "summary.csv").exists()
     assert not (tmp_path / "ignored").exists()
+    # the manifest echoes the directory the files are in
+    manifest = json.loads((forced / "manifest.json").read_text())
+    assert manifest["config"]["out"] == str(tmp_path / "forced")
 
 
 def test_compare_runs_both_algorithms(tmp_path):
