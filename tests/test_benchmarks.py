@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from coopevo.benchmarks import (
+    BASE_BOUNDS,
+    BASES,
+    FUNCTION_IDS,
     NONSEPARABLE,
     SEPARABLE,
     BenchmarkFunction,
@@ -214,9 +217,12 @@ def _two_group_kwargs(**override):
         (dict(rotations=(2.0 * np.eye(2),)), "not orthogonal"),
         (dict(bases=("sphere",)), "one base per group"),
         (dict(weights=(1.0, 2.0, 3.0)), "one weight per group"),
+        (dict(shift=np.zeros(1)), r"shift must have shape \(n,\)"),
+        (dict(shift=np.zeros((4, 4))), r"shift must have shape \(n,\)"),
     ],
     ids=["unknown-base", "missing-rotation", "surplus-rotation", "rotation-shape",
-         "rotation-none", "non-orthogonal", "base-count", "weight-count"],
+         "rotation-none", "non-orthogonal", "base-count", "weight-count",
+         "shift-too-short", "shift-matrix"],
 )
 def test_constructor_rejects_inconsistent_definition(override, message):
     fn = BenchmarkFunction(**_two_group_kwargs())
@@ -224,6 +230,98 @@ def test_constructor_rejects_inconsistent_definition(override, message):
     assert fn(np.array([1.0, 2.0, 3.0, 4.0])) == 5.0 + 2.0 * (16.0 + 1e6 * 9.0)
     with pytest.raises(ValueError, match=message):
         BenchmarkFunction(**_two_group_kwargs(**override))
+
+
+def test_structure_rejects_repeated_index_in_one_group():
+    # (0, 0, 1) would count x[0] twice and ignore x[2] of a 3-d function
+    with pytest.raises(ValueError, match="index 0 repeated in one group"):
+        SeparabilityStructure(((0, 0, 1),), (SEPARABLE,))
+    with pytest.raises(ValueError, match="index 3 repeated in one group"):
+        SeparabilityStructure(((0, 1), (2, 3, 4, 3)), (SEPARABLE, NONSEPARABLE))
+
+
+# The per-group formula written out one group at a time: each base on one
+# 1-D vector with ``np.dot`` and libm, ``rot @ z`` for the rotation, and a
+# sequential sum of the weighted terms in group order.
+def _ref_elliptic(z):
+    s = z.size
+    if s == 1:
+        return float(z[0] * z[0])
+    coef = 10.0 ** (6.0 * np.arange(s) / (s - 1))
+    return float(np.dot(coef, z * z))
+
+
+def _ref_ackley(z):
+    s = z.size
+    term1 = -20.0 * math.exp(-0.2 * math.sqrt(np.dot(z, z) / s))
+    term2 = -math.exp(np.sum(np.cos(2.0 * np.pi * z)) / s)
+    return float(term1 + term2 + 20.0 + math.e)
+
+
+def _ref_rosenbrock(z):
+    y = z + 1.0
+    return float(np.sum(100.0 * (y[:-1] ** 2 - y[1:]) ** 2 + (y[:-1] - 1.0) ** 2))
+
+
+REFERENCE_BASES = {
+    "sphere": lambda z: float(np.dot(z, z)),
+    "elliptic": _ref_elliptic,
+    "rastrigin": lambda z: float(np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0)),
+    "ackley": _ref_ackley,
+    "schwefel12": lambda z: float(np.dot(np.cumsum(z), np.cumsum(z))),
+    "rosenbrock": _ref_rosenbrock,
+}
+
+
+def _reference_terms(fn, x):
+    rotations = iter(fn.rotations)
+    terms = []
+    for grp, kind, base, weight in zip(
+        fn.structure.groups, fn.structure.group_kind, fn.bases, fn.weights
+    ):
+        idx = np.asarray(grp, dtype=int)
+        z = x[idx] - fn.shift[idx]
+        if kind == NONSEPARABLE:
+            z = next(rotations) @ z
+        terms.append(weight * REFERENCE_BASES[base](z))
+    return terms
+
+
+@pytest.mark.parametrize("dim", [40, 1000])
+def test_stacked_evaluation_is_bit_identical_to_per_group_formula(dim):
+    rng = np.random.default_rng(dim)
+    functions = [get_function(fid, dim, seed=1) for fid in FUNCTION_IDS]
+    if dim == 40:
+        functions.append(BenchmarkFunction(**_two_group_kwargs()))
+    for fn in functions:
+        points = [rng.uniform(fn.lower, fn.upper) for _ in range(3)]
+        points.append(fn.shift + 1e-3 * rng.standard_normal(fn.n))
+        for x in points:
+            terms = _reference_terms(fn, x)
+            value = fn(x)
+            assert type(value) is float
+            assert value == sum(terms), fn.fid
+            for g, term in enumerate(terms):
+                assert fn.partial_fitness(x, g) == term, (fn.fid, g)
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_every_base_is_row_stable(name):
+    # a row's value never depends on the rows stacked with it
+    base = BASES[name]
+    lo, hi = BASE_BOUNDS[name]
+    rng = np.random.default_rng(sorted(BASES).index(name))
+    for k in (1, 2, 7, 20):
+        for m in (1, 2, 50):
+            Z = rng.uniform(lo, hi, (k, m))
+            values = base(Z)
+            assert values.shape == (k,)
+            for i in range(k):
+                assert base(Z[i:i + 1])[0] == values[i]
+                single = base(Z[i])
+                assert np.shape(single) == ()
+                assert single == base(Z[i][None])[0]
+            assert float(base(Z[0])) == REFERENCE_BASES[name](Z[0])
 
 
 def test_evaluate_rejects_wrong_length():

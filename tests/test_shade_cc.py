@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coopevo.benchmarks import make_separable
+from coopevo.benchmarks import BenchmarkFunction, make_separable
 from coopevo.decomposition import ideal_decompose
 from coopevo.runtime import CooperativeRun, RunParams, SubState
 from coopevo.shade_cc import ShadeCC
@@ -150,10 +150,21 @@ def test_every_charge_after_x0_goes_through_evaluate_rows(case, monkeypatch):
 
     monkeypatch.setattr(CooperativeRun, "evaluate_rows", counted)
     fn = make_separable("sphere", 10, 1)
+    # with the audit off (the default) every objective call is charged, one
+    # per row: perfbench counts charged evaluations as evaluate calls
+    calls = []
+    evaluate = BenchmarkFunction.evaluate
+
+    def counted_evaluate(self, x):
+        calls.append(1)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(BenchmarkFunction, "evaluate", counted_evaluate)
     decomp = ideal_decompose(fn.structure, 5, fn.lower, fn.upper)
     opt = cls(fn, decomp, RunParams(max_fe=max_fe, **kw), seed=1)
     record = opt.run()
     assert opt.budget.used == max_fe == 1 + sum(rows)
+    assert len(calls) == opt.budget.used
     if case == "sacc-fallback":
         assert record.fallback_generations == opt.generation > 0
     else:
