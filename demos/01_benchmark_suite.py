@@ -31,8 +31,8 @@ print(f"\n{fn.fid}: f(shift) = {fn(fn.shift):.2e}")
 # the value decomposes additively over the groups
 rng = np.random.default_rng(0)
 x = rng.uniform(fn.lower, fn.upper)
-parts = [fn.partial_fitness(x, g) for g in range(len(fn.structure.groups))]
-print(f"{fn.fid}: f(x) = {fn(x):.6e}, sum of group terms = {sum(parts):.6e}")
+parts = fn.terms(x)  # one weighted term per group, in group order
+print(f"{fn.fid}: f(x) = {fn(x):.6e}, sum of group terms = {sum(parts.tolist()):.6e}")
 
 # the manifest records everything needed to audit a run's inputs
 manifest = suite_manifest(suite[:1])

@@ -8,12 +8,12 @@ Shift vectors and rotation matrices are synthesized from a seed instead of
 being loaded from external data files, which keeps every run reproducible
 from the seed alone.
 
-Evaluation is stacked: at construction the group terms are sorted into
-blocks of equal shape (same base, same group size, rotated or not), and a
-call evaluates each block in one pass over a ``(k, m)`` array of its k
-groups. The values are bit-identical to evaluating the groups one by one,
-because every reduction is taken per row in the same order as on a single
-group:
+The group terms come from one stacked pass: at construction they are
+sorted into blocks of equal shape (same base, same group size, rotated or
+not), and ``BenchmarkFunction.terms`` evaluates each block in one pass over
+a ``(k, m)`` array of its k groups; ``evaluate`` sums those terms. The
+values are bit-identical to evaluating the groups one by one, because every
+reduction is taken per row in the same order as on a single group:
 
 - each dot product is a stacked ``np.matmul`` of ``(k, 1, m)`` slices,
   which makes one BLAS dot per row (a ``(k, m) @ coef`` gemv or an
@@ -120,6 +120,30 @@ BASES = {
 }
 
 
+def check_partition(groups, n: int) -> None:
+    """Check that ``groups`` partition the indices 0..n-1: every group is
+    non-empty and holds integers (``bool`` is not one), no index appears
+    twice in one group or in two groups, and together they cover 0..n-1."""
+    seen: set[int] = set()
+    for grp in groups:
+        grp = grp.tolist() if isinstance(grp, np.ndarray) else grp
+        if not grp:
+            raise ValueError("empty group")
+        for kind in set(map(type, grp)):
+            if kind is bool or not issubclass(kind, (int, np.integer)):
+                entry = next(i for i in grp if type(i) is kind)
+                raise ValueError(f"group entry {entry!r} is not an integer")
+        members = set(grp)
+        if len(members) != len(grp):
+            repeated = next(i for k, i in enumerate(grp) if i in grp[:k])
+            raise ValueError(f"index {repeated} repeated in one group")
+        if seen & members:
+            raise ValueError("groups are not disjoint")
+        seen |= members
+    if not seen or seen != set(range(n)):
+        raise ValueError("groups do not cover 0..n-1")
+
+
 @dataclass(frozen=True)
 class SeparabilityStructure:
     """Ground-truth variable grouping of a benchmark function.
@@ -135,20 +159,7 @@ class SeparabilityStructure:
     def __post_init__(self):
         if len(self.groups) != len(self.group_kind):
             raise ValueError("groups and group_kind length mismatch")
-        seen: set[int] = set()
-        for grp in self.groups:
-            if not grp:
-                raise ValueError("empty group")
-            members = set(grp)
-            if len(members) != len(grp):
-                repeated = next(i for k, i in enumerate(grp) if i in grp[:k])
-                raise ValueError(f"index {repeated} repeated in one group")
-            if seen & members:
-                raise ValueError("groups are not disjoint")
-            seen |= members
-        n = max(seen) + 1
-        if seen != set(range(n)):
-            raise ValueError("groups do not cover 0..n-1")
+        check_partition(self.groups, self.n)
         for kind in self.group_kind:
             if kind not in (SEPARABLE, NONSEPARABLE):
                 raise ValueError(f"unknown group kind {kind!r}")
@@ -187,15 +198,8 @@ class _Block(NamedTuple):
             z = np.matmul(rots, z[..., None])[..., 0]
         return weights * base(z)
 
-    def row(self, j: int) -> _Block:
-        """Group ``j`` of the block alone, as views into this one."""
-        rows = slice(j, j + 1)
-        rots = None if self.rots is None else self.rots[rows]
-        return _Block(self.idx[rows], self.shift[rows], rots, self.base,
-                      self.weights[rows], self.pos[rows])
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BenchmarkFunction:
     """A fixed, immutable test function f(x) = sum of per-group terms.
 
@@ -258,44 +262,35 @@ class BenchmarkFunction:
             stacked = np.array(rots, dtype=float) if rotated else None
             blocks.append(_Block(idx, self.shift[idx], stacked, BASES[base],
                                  np.array(weights, dtype=float), np.array(pos)))
-        groups = [None] * len(self.bases)
-        for block in blocks:
-            for j, pos in enumerate(block.pos):
-                groups[pos] = block.row(j)
         object.__setattr__(self, "_blocks", tuple(blocks))
-        object.__setattr__(self, "_groups", tuple(groups))
-        # hold each rotation once: as a view into its stacked block
-        views = tuple(g.rots[0] for g in groups if g.rots is not None)
-        object.__setattr__(self, "rotations", views)
+        # hold each rotation once: as a view into its stacked block, in
+        # rotated-group order
+        views = {pos: rot for block in blocks if block.rots is not None
+                 for pos, rot in zip(block.pos.tolist(), block.rots)}
+        object.__setattr__(self, "rotations", tuple(views[pos] for pos in sorted(views)))
 
     def __call__(self, x: np.ndarray) -> float:
         return self.evaluate(x)
 
     def evaluate(self, x: np.ndarray) -> float:
-        """Full fitness: sum of all group terms.
+        """Full fitness: the sum of ``terms(x)``.
 
-        Each block of equal-shape groups is evaluated in one stacked pass,
-        and the weighted terms are then added one at a time in group order,
-        so the value is bit-identical to evaluating and adding the groups
-        one by one (see the module docstring)."""
-        x = self._point(x)
-        vals = np.empty(len(self._groups))
-        for block in self._blocks:
-            vals[block.pos] = block.terms(x)
-        return sum(vals.tolist())
+        The terms are added one at a time in group order, so the value is
+        bit-identical to evaluating and adding the groups one by one (see
+        the module docstring)."""
+        return sum(self.terms(x).tolist())
 
-    def partial_fitness(self, x: np.ndarray, g: int) -> float:
-        """Contribution of group ``g`` alone: one row of its block."""
-        x = self._point(x)
-        if not 0 <= g < len(self._groups):
-            raise ValueError(f"group index {g} out of range")
-        return float(self._groups[g].terms(x)[0])
+    def terms(self, x: np.ndarray) -> np.ndarray:
+        """The weighted term of every group at ``x``, in group order.
 
-    def _point(self, x: np.ndarray) -> np.ndarray:
+        Each block of equal-shape groups is evaluated in one stacked pass."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        return x
+        out = np.empty(len(self.bases))
+        for block in self._blocks:
+            out[block.pos] = block.terms(x)
+        return out
 
     def manifest(self) -> dict:
         """Auditable description of the function (no large matrices)."""

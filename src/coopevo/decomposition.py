@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import SeparabilityStructure
+from .benchmarks import SeparabilityStructure, check_partition
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,7 @@ class Decomposition:
     n: int
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for sub in self.subproblems:
-            block = set(int(i) for i in sub.indices)
-            if seen & block:
-                raise ValueError("sub-problems overlap")
-            seen |= block
-        if seen != set(range(self.n)):
-            raise ValueError("sub-problems do not cover all variables")
+        check_partition([sub.indices for sub in self.subproblems], self.n)
 
     @property
     def k(self) -> int:

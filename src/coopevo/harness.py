@@ -171,7 +171,8 @@ def export_convergence(records: list[RunRecord], path: str | Path) -> Path:
 
 def read_convergence(path: str | Path) -> np.ndarray:
     """The (fe, mean_fv, std_fv) rows of a convergence CSV; a bad header or
-    row is a ValueError naming the file and line."""
+    row is a ValueError naming the file and line, and a file without rows
+    one naming the file."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -186,6 +187,8 @@ def read_convergence(path: str | Path) -> np.ndarray:
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: bad row {row}: {exc}") from None
             rows.append((fe, mean_fv, std_fv))
+    if not rows:
+        raise ValueError(f"no rows in convergence file {path}")
     return np.asarray(rows)
 
 

@@ -62,10 +62,12 @@ def test_optimum_at_shift_for_all_suite_members():
         assert abs(fn(fn.shift)) <= 1e-9, fn.fid
 
 
-def test_partial_fitness_zero_at_shift_for_every_group():
+def test_terms_zero_at_shift_for_every_group():
     for fn in small_suite():
+        terms = fn.terms(fn.shift)
+        assert terms.shape == (len(fn.structure.groups),)
         for g in range(len(fn.structure.groups)):
-            assert abs(fn.partial_fitness(fn.shift, g)) <= 1e-9
+            assert abs(terms[g]) <= 1e-9
 
 
 def test_shift_strictly_inside_bounds():
@@ -86,23 +88,21 @@ def test_additivity_partial_sums_match_evaluate():
     for fn in small_suite():
         for _ in range(25):
             x = rng.uniform(fn.lower, fn.upper)
-            total = fn(x)
-            parts = sum(fn.partial_fitness(x, g) for g in range(len(fn.structure.groups)))
-            assert abs(total - parts) <= 1e-9 * max(1.0, abs(total))
+            assert fn(x) == sum(fn.terms(x).tolist())
 
 
-def test_partial_fitness_independent_of_other_groups():
+def test_terms_independent_of_other_groups():
     rng = np.random.default_rng(11)
     fn = small_suite()[9]  # ten rotated groups plus a separable block
     x = rng.uniform(fn.lower, fn.upper)
     for g in range(len(fn.structure.groups)):
-        base_val = fn.partial_fitness(x, g)
+        base_val = fn.terms(x)[g]
         inside = set(fn.structure.groups[g])
         y = x.copy()
         for j in range(fn.n):
             if j not in inside:
                 y[j] = rng.uniform(fn.lower[j], fn.upper[j])
-        assert fn.partial_fitness(y, g) == base_val  # bitwise: untouched inputs
+        assert fn.terms(y)[g] == base_val  # bitwise: untouched inputs
 
 
 def _loop_elliptic(z):
@@ -121,20 +121,21 @@ def _loop_rastrigin(z):
     return total
 
 
-def test_partial_fitness_against_straight_line_oracle():
+def test_terms_against_straight_line_oracle():
     # reimplement the group formula with plain loops and compare
     rng = np.random.default_rng(13)
     suite = small_suite()
     for fn, loop in ((suite[0], _loop_elliptic), (suite[9], _loop_rastrigin)):
         x = rng.uniform(fn.lower, fn.upper)
         rotations = list(fn.rotations)  # the k-th rotation belongs to the k-th rotated group
+        terms = fn.terms(x)
         for g, (grp, kind) in enumerate(zip(fn.structure.groups, fn.structure.group_kind)):
             idx = np.asarray(grp)
             z = x[idx] - fn.shift[idx]
             if kind == NONSEPARABLE:
                 z = rotations.pop(0) @ z
             expect = fn.weights[g] * loop(z)
-            got = fn.partial_fitness(x, g)
+            got = terms[g]
             assert abs(got - expect) <= 1e-9 * max(1.0, abs(expect))
         assert rotations == []
 
@@ -240,6 +241,23 @@ def test_structure_rejects_repeated_index_in_one_group():
         SeparabilityStructure(((0, 1), (2, 3, 4, 3)), (SEPARABLE, NONSEPARABLE))
 
 
+@pytest.mark.parametrize("entry", [1.5, True], ids=["float", "bool"])
+def test_structure_rejects_non_integer_entry(entry):
+    with pytest.raises(ValueError, match=f"group entry {entry!r} is not an integer"):
+        SeparabilityStructure(((0, entry),), (SEPARABLE,))
+
+
+def test_functions_compare_by_identity():
+    # equal definitions built twice are two functions; comparing them must
+    # not compare their arrays
+    fn = get_function("f01", 40, seed=1)
+    other = get_function("f01", 40, seed=1)
+    assert fn == fn
+    assert {fn, fn} == {fn}
+    assert fn != other
+    assert len({fn, other}) == 2
+
+
 # The per-group formula written out one group at a time: each base on one
 # 1-D vector with ``np.dot`` and libm, ``rot @ z`` for the rotation, and a
 # sequential sum of the weighted terms in group order.
@@ -301,8 +319,7 @@ def test_stacked_evaluation_is_bit_identical_to_per_group_formula(dim):
             value = fn(x)
             assert type(value) is float
             assert value == sum(terms), fn.fid
-            for g, term in enumerate(terms):
-                assert fn.partial_fitness(x, g) == term, (fn.fid, g)
+            assert fn.terms(x).tolist() == terms, fn.fid
 
 
 @pytest.mark.parametrize("name", sorted(BASES))
@@ -328,8 +345,8 @@ def test_evaluate_rejects_wrong_length():
     fn = small_suite()[0]
     with pytest.raises(ValueError):
         fn(np.zeros(fn.n + 1))
-    with pytest.raises(ValueError):
-        fn.partial_fitness(np.zeros(fn.n), 99)
+    with pytest.raises(ValueError, match=f"expected vector of length {fn.n}"):
+        fn.terms(np.zeros(fn.n - 1))
 
 
 def test_weighted_single_group_functions():
@@ -340,7 +357,7 @@ def test_weighted_single_group_functions():
     )
     assert fn.weights[g] == 1e6
     x = np.random.default_rng(5).uniform(fn.lower, fn.upper)
-    assert fn.partial_fitness(x, g) > 0
+    assert fn.terms(x)[g] > 0
 
 
 def test_make_separable_helper():

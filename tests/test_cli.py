@@ -171,7 +171,9 @@ def test_fes_to_match_rejects_curve_without_rows(tmp_path, capsys, content):
     trace = tmp_path / "convergence.csv"
     trace.write_text(content)
     assert main(["fes-to-match", "--target", "1.0", "--trace", str(trace)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(trace) in err
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,10 @@ def test_decomposition_validates_partition():
     sub_b = SubProblem(1, np.array([1, 2]), bounds[0][:2], bounds[1][:2])
     with pytest.raises(ValueError):
         Decomposition((sub_a, sub_b), 4)
+    # float indices would otherwise fail later, in embed
+    floats = SubProblem(0, np.array([0.0, 1.0]), bounds[0][:2], bounds[1][:2])
+    with pytest.raises(ValueError, match="group entry 0.0 is not an integer"):
+        Decomposition((floats,), 2)
 
 
 def test_ideal_decompose_rejects_bad_args():
