@@ -45,9 +45,7 @@ from .runtime import (
     RunRecord,
 )
 from .shade import (
-    InferiorArchive,
     ParameterMemory,
-    generate_trials,
     mutate_crossover,
     pbest_fraction,
     sample_params,
@@ -65,7 +63,6 @@ __all__ = [
     "Decomposition",
     "ExperimentConfig",
     "FeBudget",
-    "InferiorArchive",
     "ParameterMemory",
     "RbfModel",
     "RunParams",
@@ -84,7 +81,6 @@ __all__ = [
     "embed",
     "export_convergence",
     "fes_to_match",
-    "generate_trials",
     "get_function",
     "ideal_decompose",
     "initialization_cost",

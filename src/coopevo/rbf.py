@@ -49,6 +49,10 @@ class TrainingArchive:
         self.capacity = capacity
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
+        if self.lower.shape != self.upper.shape:
+            raise ValueError("lower and upper bounds differ in shape")
+        if not np.all(self.upper > self.lower):
+            raise ValueError("every upper bound must exceed its lower bound")
         self._points = np.empty((capacity, self.lower.size))
         self._values = np.empty(capacity)
         self._n = 0
@@ -97,18 +101,23 @@ class TrainingArchive:
         """Initial population of the archive (oldest first)."""
         if len(self) != 0:
             raise ValueError("archive already filled")
+        if len(points) != len(values):
+            raise ValueError(f"{len(points)} points but {len(values)} values")
         if len(points) != self.capacity:
             raise ValueError("initial fill must supply exactly `capacity` samples")
         self._append(points, values)
 
     def push(self, batch_points: np.ndarray, batch_values: np.ndarray):
-        """Replace the ``len(batch)`` oldest entries with fresh samples."""
+        """Append fresh samples, evicting only as many of the oldest entries
+        as the ``capacity`` forces out."""
         b = len(batch_points)
         if b > self.capacity:
             raise ValueError("batch larger than archive capacity")
+        if b != len(batch_values):
+            raise ValueError(f"{b} points but {len(batch_values)} values")
         if b == 0:
             return
-        kept = max(self._n - b, 0)
+        kept = min(self._n, self.capacity - b)
         self._points[:kept] = self._points[self._n - kept : self._n]
         self._values[:kept] = self._values[self._n - kept : self._n]
         self._n = kept

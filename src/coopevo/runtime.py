@@ -1,6 +1,7 @@
-"""Shared run-time pieces: evaluation budget, context vector, run records,
-the per-sub-problem SHADE search state and the cooperative run loop both
-optimizers are built on."""
+"""Shared run-time pieces: evaluation budget, context vector, run records
+and the cooperative run loop both optimizers are built on. Each
+sub-problem's SHADE search state is ``shade.SubState``; the run seeds one
+per sub-problem."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .benchmarks import BenchmarkFunction
 from .decomposition import Decomposition, SubProblem, embed
-from .shade import InferiorArchive, ParameterMemory, generate_trials
+from .shade import ParameterMemory, SubState
 
 
 def write_table(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> Path:
@@ -133,36 +134,6 @@ class RunRecord:
         )
 
 
-@dataclass
-class SubState:
-    """SHADE search state of one sub-problem, the same in both optimizers.
-
-    ``pop_vals`` scores the members, larger is better: improvements over the
-    context in ``sacc``, negated fitness in ``shade-cc``.
-    """
-
-    sub: SubProblem
-    pop: np.ndarray            # (p, s) sub-solutions
-    pop_vals: np.ndarray       # (p,) their scores, larger is better
-    memory: ParameterMemory
-    inferior: InferiorArchive
-    rng: np.random.Generator
-
-    def trials(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One trial per member and the (F, CR) each was made with."""
-        return generate_trials(
-            self.pop, self.pop_vals, self.inferior, self.memory,
-            self.sub.lower, self.sub.upper, self.rng,
-        )
-
-    def adapt(self, won: np.ndarray, f_used: np.ndarray, cr_used: np.ndarray, gains: np.ndarray):
-        """SHADE's success update: the beaten parents ``pop[won]`` enter the
-        inferior archive and the winning (F, CR) pairs, weighted by
-        ``gains``, the memory. Call before the winners replace them."""
-        self.inferior.replace_random(self.pop[won], self.rng)
-        self.memory.update(f_used[won], cr_used[won], gains)
-
-
 class CooperativeRun:
     """Scaffolding of one seeded cooperative-coevolution run.
 
@@ -217,7 +188,7 @@ class CooperativeRun:
         """Seed sub-problem ``g`` from ``sub_rngs[g]``: a ``p``-row inferior
         archive, then ``n`` uniform population rows, all scored ``-inf``."""
         sub, rng = self.decomposition.subproblems[g], self.sub_rngs[g]
-        inferior = InferiorArchive(rng.uniform(sub.lower, sub.upper, (self.params.p, sub.s)))
+        inferior = rng.uniform(sub.lower, sub.upper, (self.params.p, sub.s))
         pop = rng.uniform(sub.lower, sub.upper, (n, sub.s))
         return SubState(
             sub, pop, np.full(n, -np.inf), ParameterMemory(self.params.memory_size), inferior, rng

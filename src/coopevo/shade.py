@@ -1,22 +1,26 @@
-"""Success-history adaptive differential evolution operators.
+"""Success-history adaptive differential evolution (SHADE).
 
-These are the building blocks shared by both optimizers in this package:
-control-parameter sampling from a success-history memory, the
-current-to-pbest/1 mutation with binomial crossover, memory updates via
-improvement-weighted means, and the always-full inferior archive that
-donates difference vectors. All scores passed in follow a larger-is-better
-convention, so the same code serves raw-fitness and improvement-based
-callers.
+This module holds SHADE whole, shared by both optimizers in this package:
+the operators (control-parameter sampling from a success-history memory,
+the current-to-pbest/1 mutation with binomial crossover, memory updates via
+improvement-weighted means) and ``SubState``, the search state of one
+sub-problem with its always-full inferior archive of donor rows. All scores
+passed in follow a larger-is-better convention, so the same code serves
+raw-fitness and improvement-based callers.
 
 The operators are defined per member but need no sequential draw order, so
 they work on the whole population at once: one generation of trials is one
 call each of ``sample_params``, ``pbest_fraction`` and ``mutate_crossover``,
-and every random draw covers all members (see ``generate_trials``).
+and every random draw covers all members (see ``SubState.trials``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from .decomposition import SubProblem
 
 PBEST_MAX_FRAC = 0.2
 
@@ -60,32 +64,6 @@ class ParameterMemory:
 
 def weighted_lehmer_mean(x: np.ndarray, w: np.ndarray) -> float:
     return float(np.dot(w, x * x) / np.dot(w, x))
-
-
-class InferiorArchive:
-    """Fixed-size pool of replaced/beaten sub-solutions.
-
-    Kept full from the start (seeded with random sub-solutions) so donors for
-    the mutation difference term are always available without special-casing
-    a growing archive.
-    """
-
-    def __init__(self, slots: np.ndarray):
-        self.slots = np.array(slots, dtype=float)
-        if self.slots.ndim != 2 or self.slots.shape[0] < 1:
-            raise ValueError("archive needs a (p, s) slot matrix")
-
-    def __len__(self) -> int:
-        return self.slots.shape[0]
-
-    def replace_random(self, rows: np.ndarray, rng: np.random.Generator):
-        """Overwrite one uniformly drawn slot per row of ``rows``.
-
-        The slots come from one draw for the whole batch and the rows are
-        written in order, so a slot drawn twice keeps the later row.
-        """
-        for slot, x in zip(rng.integers(len(self), size=len(rows)), rows):
-            self.slots[slot] = x
 
 
 def pbest_fraction(p: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,31 +152,6 @@ def mutate_crossover(
     return u
 
 
-def generate_trials(
-    pop: np.ndarray,
-    scores: np.ndarray,
-    inferior: InferiorArchive,
-    memory: ParameterMemory,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One trial vector per population member, in member order.
-
-    One batched pass from the one ``rng``: all (F, CR) pairs
-    (``sample_params``), then all elite fractions (``pbest_fraction``),
-    then all trial vectors (``mutate_crossover``). SHADE defines its
-    operators per member but needs no sequential draw order, so the
-    members share each draw. Returns (trials, F, CR) with the control
-    parameters each trial was made with.
-    """
-    p = pop.shape[0]
-    f, cr = sample_params(memory, p, rng)
-    frac = pbest_fraction(p, rng)
-    trials = mutate_crossover(pop, scores, inferior.slots, f, cr, frac, lower, upper, rng)
-    return trials, f, cr
-
-
 def select_best(values: np.ndarray, q: int) -> np.ndarray:
     """Indices of the q largest values; ties resolved to the lower index."""
     order = np.argsort(-values, kind="stable")
@@ -249,3 +202,54 @@ def worst_replacement(
         if scores[w] < val:
             pop[w] = x
             scores[w] = val
+
+
+@dataclass
+class SubState:
+    """SHADE search state of one sub-problem, the same in both optimizers.
+
+    ``pop_vals`` scores the members, larger is better: improvements over the
+    context in ``sacc``, negated fitness in ``shade-cc``. ``inferior`` is
+    the fixed-size pool of beaten parents that donates difference vectors;
+    it is seeded full with random sub-solutions, so donors never run out.
+    """
+
+    sub: SubProblem
+    pop: np.ndarray            # (p, s) sub-solutions
+    pop_vals: np.ndarray       # (p,) their scores, larger is better
+    memory: ParameterMemory
+    inferior: np.ndarray       # (a, s) inferior archive, always full
+    rng: np.random.Generator
+
+    def trials(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One trial vector per member, in member order, and the (F, CR)
+        each was made with.
+
+        One batched pass from the one ``rng``: all (F, CR) pairs
+        (``sample_params``), then all elite fractions (``pbest_fraction``),
+        then all trial vectors (``mutate_crossover``). SHADE defines its
+        operators per member but needs no sequential draw order, so the
+        members share each draw.
+        """
+        p = self.pop.shape[0]
+        f, cr = sample_params(self.memory, p, self.rng)
+        frac = pbest_fraction(p, self.rng)
+        trials = mutate_crossover(
+            self.pop, self.pop_vals, self.inferior, f, cr, frac,
+            self.sub.lower, self.sub.upper, self.rng,
+        )
+        return trials, f, cr
+
+    def adapt(self, won: np.ndarray, f_used: np.ndarray, cr_used: np.ndarray, gains: np.ndarray):
+        """SHADE's success update: the beaten parents ``pop[won]`` enter the
+        inferior archive and the winning (F, CR) pairs, weighted by
+        ``gains``, the memory. Call before the winners replace them.
+
+        Each beaten parent overwrites one uniformly drawn archive slot. The
+        slots come from one draw for the whole batch and the rows are
+        written in order, so a slot drawn twice keeps the later row.
+        """
+        beaten = self.pop[won]
+        for slot, x in zip(self.rng.integers(len(self.inferior), size=len(beaten)), beaten):
+            self.inferior[slot] = x
+        self.memory.update(f_used[won], cr_used[won], gains)

@@ -11,7 +11,7 @@ evaluation budget.
 This module holds only that evaluation policy (full evaluation, per-visit
 re-evaluation and the end-of-visit harvest); seeding, budget, context and
 run record come from ``runtime.CooperativeRun``, and the population, trial
-generation and SHADE adaptation from ``runtime.SubState``, exactly as in the
+generation and SHADE adaptation from ``shade.SubState``, exactly as in the
 surrogate-assisted optimizer. Re-evaluation and trial scoring both go
 through the one budgeted row evaluator, ``CooperativeRun.evaluate_rows``,
 where a batched objective call would plug in. A member's stored value is

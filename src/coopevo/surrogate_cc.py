@@ -16,7 +16,7 @@ stored improvements are shifted down by ``delta`` so they stay comparable.
 This module holds only that evaluation policy (surrogate screening, the
 training archives and the audit); seeding, budget, context and run record
 come from ``runtime.CooperativeRun``, and the population, trial generation
-and SHADE adaptation from ``runtime.SubState``, exactly as in the
+and SHADE adaptation from ``shade.SubState``, exactly as in the
 full-evaluation baseline. Every charged evaluation, the initial pool and the
 screened trials alike, goes through the one charged row evaluator,
 ``CooperativeRun.evaluate_rows``.

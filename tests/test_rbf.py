@@ -164,6 +164,39 @@ def test_push_rejects_oversized_batch():
         arch.push(np.zeros((3, 1)), np.zeros(3))
 
 
+def test_push_into_partial_archive_evicts_only_the_overflow():
+    arch = TrainingArchive(10, [-10.0], [10.0])
+    arch.push(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.0, 3.0]))
+    arch.push(np.array([[4.0], [5.0]]), np.array([4.0, 5.0]))
+    assert arch.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]  # room for all five
+    arch.push(np.arange(6.0, 12.0)[:, None], np.arange(6.0, 12.0))
+    assert arch.values.tolist() == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0]
+
+
+def test_fill_rejects_unequal_lengths():
+    arch = TrainingArchive(5, np.full(2, -10.0), np.full(2, 10.0))
+    with pytest.raises(ValueError, match="5 points but 3 values"):
+        arch.fill(np.zeros((5, 2)), np.zeros(3))
+    assert len(arch) == 0
+
+
+def test_push_rejects_unequal_lengths():
+    arch = filled_archive(np.arange(5.0)[:, None], np.arange(5.0))
+    with pytest.raises(ValueError, match="2 points but 1 values"):
+        arch.push(np.array([[7.0], [8.0]]), np.array([70.0]))
+    assert arch.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]  # nothing evicted
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [([0.0, 0.0], [1.0]), ([0.0, 0.0], [1.0, 0.0]), ([0.0], [-1.0])],
+    ids=["shape", "equal", "inverted"],
+)
+def test_archive_rejects_bad_bounds(lower, upper):
+    with pytest.raises(ValueError, match="bound"):
+        TrainingArchive(6, np.array(lower), np.array(upper))
+
+
 def test_duplicate_push_gets_perturbed():
     arch = filled_archive([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [0.0, 1.0, 2.0])
     arch.push(np.array([[1.0, 1.0]]), np.array([5.0]))
@@ -194,10 +227,10 @@ def test_rebase_preserves_ranking():
 class ListArchive:
     """Straight-line reference for TrainingArchive on Python lists: a row
     that lies within DUPLICATE_TOL of a stored row is nudged before it is
-    appended, and a push drops the oldest rows first."""
+    appended, and a push drops the oldest rows that overflow the capacity."""
 
     def __init__(self, capacity, lower, upper):
-        self.lower, self.upper = lower, upper
+        self.capacity, self.lower, self.upper = capacity, lower, upper
         self.rows, self.values, self.tick = [], [], 0
 
     def insert(self, x, value):
@@ -212,8 +245,9 @@ class ListArchive:
         self.tick += 1
 
     def push(self, points, values):
-        del self.rows[: len(points)]
-        del self.values[: len(points)]
+        over = max(len(self.rows) + len(points) - self.capacity, 0)
+        del self.rows[:over]
+        del self.values[:over]
         for x, v in zip(points, values):
             self.insert(x, v)
 

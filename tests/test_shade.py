@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from coopevo.decomposition import SubProblem
 from coopevo.shade import (
-    InferiorArchive,
     ParameterMemory,
-    generate_trials,
+    SubState,
     mutate_crossover,
     pbest_fraction,
     sample_params,
@@ -271,6 +271,41 @@ def test_batched_trials_match_per_member_reference():
             assert np.array_equal(u[i], w)
 
 
+def sub_state(pop, inferior, rng, memory=None, lo=None, hi=None):
+    """A SubState over ``pop`` with bounds ``lo``/``hi`` (default: +-5)."""
+    s = pop.shape[1]
+    lo = np.full(s, -5.0) if lo is None else lo
+    hi = np.full(s, 5.0) if hi is None else hi
+    sub = SubProblem(0, np.arange(s), lo, hi)
+    memory = ParameterMemory(4) if memory is None else memory
+    return SubState(sub, pop, np.full(len(pop), -np.inf), memory, inferior, rng)
+
+
+def test_substate_trials_follow_operator_draw_order():
+    # SubState.trials is sample_params -> pbest_fraction -> mutate_crossover
+    # on its one rng: a twin generator running the three operators by hand
+    # gives bit-equal trials and parameters and ends in the same state
+    p, s = 12, 5
+    lo, hi = np.full(s, -5.0), np.full(s, 5.0)
+    setup = np.random.default_rng(11)
+    mem = ParameterMemory(6)
+    mem.f[:] = setup.uniform(0.01, 1.0, 6)
+    mem.cr[:] = setup.uniform(0.0, 1.0, 6)
+    pop = setup.uniform(lo, hi, (p, s))
+    inferior = setup.uniform(lo, hi, (p + 3, s))
+    st = sub_state(pop.copy(), inferior.copy(), np.random.default_rng(5), mem, lo, hi)
+    st.pop_vals = setup.normal(size=p)
+    twin = np.random.default_rng(5)
+    for _ in range(3):
+        trials, f, cr = st.trials()
+        f_ref, cr_ref = sample_params(mem, p, twin)
+        frac = pbest_fraction(p, twin)
+        ref = mutate_crossover(pop, st.pop_vals, inferior, f_ref, cr_ref, frac, lo, hi, twin)
+        assert np.array_equal(trials, ref)
+        assert np.array_equal(f, f_ref) and np.array_equal(cr, cr_ref)
+        assert st.rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_generated_trials_stay_valid_over_many_generations():
     p, s = 30, 7
     lo, hi = np.full(s, -5.0), np.full(s, 5.0)
@@ -280,16 +315,16 @@ def test_generated_trials_stay_valid_over_many_generations():
         mem.f[:] = rng.uniform(0.01, 1.0, 5)
         mem.cr[:] = rng.uniform(0.0, 1.0, 5)
         pop = rng.uniform(lo, hi, (p, s))
-        inferior = InferiorArchive(rng.uniform(lo, hi, (p, s)))
+        st = sub_state(pop, rng.uniform(lo, hi, (p, s)), rng, mem, lo, hi)
         for _ in range(5):
-            scores = rng.normal(size=p)
-            trials, f, cr = generate_trials(pop, scores, inferior, mem, lo, hi, rng)
+            st.pop_vals = rng.normal(size=p)
+            trials, f, cr = st.trials()
             assert trials.shape == (p, s)
             assert np.all((trials >= lo) & (trials <= hi))
             assert np.all((f > 0.0) & (f <= 1.0))
             assert np.all((cr >= 0.0) & (cr <= 1.0))
-            assert np.all(np.any(trials != pop, axis=1))
-            pop = trials
+            assert np.all(np.any(trials != st.pop, axis=1))
+            st.pop = trials
 
 
 # --- selection helpers ------------------------------------------------------
@@ -392,20 +427,25 @@ def test_memory_index_wraps():
     assert np.all((mem.cr >= 0.0) & (mem.cr <= 1.0))
 
 
+def adapt_first(st, k):
+    """``st.adapt`` with the first ``k`` members as the winners."""
+    n = len(st.pop)
+    st.adapt(np.arange(k), np.full(n, 0.5), np.full(n, 0.5), np.ones(k))
+
+
 def test_inferior_archive_fixed_size():
-    arch = InferiorArchive(np.zeros((4, 2)))
-    rng = np.random.default_rng(0)
+    st = sub_state(np.ones((6, 2)), np.zeros((4, 2)), np.random.default_rng(0))
     for k in range(10):
-        arch.replace_random(np.ones((k % 6, 2)), rng)
-        assert len(arch) == 4
+        adapt_first(st, k % 6)
+        assert len(st.inferior) == 4
 
 
 def test_inferior_archive_writes_batch_in_order():
-    arch = InferiorArchive(np.zeros((4, 1)))
     rng = ScriptedRng(integers=[2, 0, 2])
-    arch.replace_random(np.array([[1.0], [2.0], [3.0]]), rng)
+    st = sub_state(np.array([[1.0], [2.0], [3.0]]), np.zeros((4, 1)), rng)
+    adapt_first(st, 3)
     assert count_draws(rng, "integers") == [3]  # one draw for the batch
-    assert arch.slots[:, 0].tolist() == [2.0, 0.0, 3.0, 0.0]  # slot 2 keeps the later row
+    assert st.inferior[:, 0].tolist() == [2.0, 0.0, 3.0, 0.0]  # slot 2 keeps the later row
 
 
 # --- population update -------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 
 from coopevo.benchmarks import BenchmarkFunction, make_separable
 from coopevo.decomposition import ideal_decompose
-from coopevo.runtime import CooperativeRun, RunParams, SubState
+from coopevo.runtime import CooperativeRun, RunParams
+from coopevo.shade import SubState
 from coopevo.shade_cc import ShadeCC
 from coopevo.surrogate_cc import SurrogateCC
 
@@ -98,7 +99,9 @@ def test_improves_on_single_block_problem():
 def test_shares_operator_code_with_surrogate_optimizer():
     # parity guard: both optimizers keep their per-sub-problem search in the
     # one shared state, and neither module binds the SHADE operators itself,
-    # so the comparison isolates the evaluation policy
+    # so the comparison isolates the evaluation policy; nor does the run
+    # scaffolding, so SHADE's draw order is stated only in shade.py
+    import coopevo.runtime as runtime
     import coopevo.shade_cc as shade_cc
     import coopevo.surrogate_cc as surrogate_cc
 
@@ -108,8 +111,13 @@ def test_shares_operator_code_with_surrogate_optimizer():
         assert isinstance(opt, CooperativeRun)
         assert len(opt.subs) == decomp.k
         assert all(type(st) is SubState for st in opt.subs)
-    for module in (shade_cc, surrogate_cc):
-        for name in ("generate_trials", "InferiorArchive", "ParameterMemory"):
+    trial_ops = ("sample_params", "pbest_fraction", "mutate_crossover")
+    for module, names in (
+        (shade_cc, trial_ops + ("ParameterMemory",)),
+        (surrogate_cc, trial_ops + ("ParameterMemory",)),
+        (runtime, trial_ops),
+    ):
+        for name in names:
             assert not hasattr(module, name), f"{module.__name__} binds {name}"
 
 

@@ -132,7 +132,7 @@ def test_initial_state_deterministic_per_seed():
     for sa, sb in zip(a.subs, b.subs):
         assert np.array_equal(sa.pop, sb.pop)
         assert np.array_equal(sa.pop_vals, sb.pop_vals)
-        assert np.array_equal(sa.inferior.slots, sb.inferior.slots)
+        assert np.array_equal(sa.inferior, sb.inferior)
     for ra, rb in zip(a.archives, b.archives):
         assert np.array_equal(ra.points, rb.points)
     assert np.array_equal(a.context.x, b.context.x)
