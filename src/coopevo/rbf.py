@@ -13,14 +13,34 @@ when Q has full column rank, i.e. the samples affinely span the space.
 Inputs are scaled to the unit box before distances are taken so conditioning
 does not depend on the magnitude of the variable bounds; labels stay in raw
 units.
+
+One optimizer step trains a model and predicts the parents and the trials
+with it, and it does each distance only once:
+
+- Phi is symmetric with a zero diagonal, so training takes the d(d-1)/2
+  pairwise distances (``pdist``) and cubes only those. The entries are
+  bit-equal to the full ``cdist`` block.
+- The model keeps the unridged Phi as ``kernel``. A prediction row whose
+  scaled coordinates are bit-equal to a center (most parents are training
+  samples) takes that center's kernel row, and only the other rows go
+  through ``cdist``. The assembled matrix is bit-equal to the full block,
+  so the prediction is too.
+- The bordered system is symmetric and is allocated in Fortran order, the
+  layout LAPACK reads, so ``np.linalg.solve`` copies it without a
+  transpose and returns the same solution.
+
+Nothing is carried from one step to the next: the kernel lives as long as
+the model. A per-archive cache of Phi and the scaled centers would save the
+rebuild, but it holds about 0.6 MB per sub-problem for the whole run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 
 class TrainingError(RuntimeError):
@@ -37,6 +57,14 @@ class TrainingArchive:
     A sample that coincides with a stored one (within DUPLICATE_TOL) is
     nudged toward the box center by ~1e-9 of the bound range before insert;
     coincident rows would make the Phi block exactly singular.
+
+    Each batch is first checked as a whole: one Chebyshev ``cdist`` compares
+    every new row with the stored rows and with the earlier rows of its
+    batch. If no pair is closer than DUPLICATE_TOL and every row is finite,
+    the batch is written as it is. That is exact: with nothing nudged, each
+    row meets the same earlier rows as in the row-by-row insert. Otherwise
+    the batch is inserted one row at a time, each row checked against all
+    rows written before it.
 
     The rows live in one preallocated ``(capacity, s)`` block; ``points``
     and ``values`` are views of its filled part, so they change with the
@@ -73,6 +101,17 @@ class TrainingArchive:
     def values(self) -> np.ndarray:
         return self._values[: self._n]
 
+    def _checked(self, points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        points = np.asarray(points, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.s:
+            raise ValueError(f"points must have shape (b, {self.s}), got {points.shape}")
+        if values.ndim != 1:
+            raise ValueError(f"values must have shape (b,), got {values.shape}")
+        if len(points) != len(values):
+            raise ValueError(f"{len(points)} points but {len(values)} values")
+        return points, values
+
     def _dedupe(self, x: np.ndarray) -> np.ndarray:
         if len(self) == 0:
             return x
@@ -89,9 +128,20 @@ class TrainingArchive:
         return np.clip(x + 1e-9 * span * direction * jitter, self.lower, self.upper)
 
     def _append(self, points: np.ndarray, values: np.ndarray):
-        # each row is deduped against every row written before it, those of
-        # the same batch included
-        for x, v in zip(np.asarray(points, dtype=float), values):
+        n, b = self._n, len(points)
+        self._points[n : n + b] = points
+        self._values[n : n + b] = values
+        rows = self._points[: n + b]
+        # gap of each new row to every row before it; cdist skips NaN
+        # coordinates where the row-by-row check does not, so a non-finite
+        # row always takes the row-by-row insert
+        gap = cdist(points, rows, "chebyshev")
+        gap[:, n:][np.triu_indices(b)] = np.inf
+        if np.all(gap >= DUPLICATE_TOL) and np.all(np.isfinite(rows)):
+            self._n += b
+            self._next_tick += b
+            return
+        for x, v in zip(points, values):
             self._points[self._n] = self._dedupe(x)
             self._values[self._n] = v
             self._n += 1
@@ -101,8 +151,7 @@ class TrainingArchive:
         """Initial population of the archive (oldest first)."""
         if len(self) != 0:
             raise ValueError("archive already filled")
-        if len(points) != len(values):
-            raise ValueError(f"{len(points)} points but {len(values)} values")
+        points, values = self._checked(points, values)
         if len(points) != self.capacity:
             raise ValueError("initial fill must supply exactly `capacity` samples")
         self._append(points, values)
@@ -110,11 +159,10 @@ class TrainingArchive:
     def push(self, batch_points: np.ndarray, batch_values: np.ndarray):
         """Append fresh samples, evicting only as many of the oldest entries
         as the ``capacity`` forces out."""
+        batch_points, batch_values = self._checked(batch_points, batch_values)
         b = len(batch_points)
         if b > self.capacity:
             raise ValueError("batch larger than archive capacity")
-        if b != len(batch_values):
-            raise ValueError(f"{b} points but {len(batch_values)} values")
         if b == 0:
             return
         kept = min(self._n, self.capacity - b)
@@ -134,7 +182,8 @@ class TrainingArchive:
 class RbfModel:
     """Trained surrogate; ``centers`` are the training samples in unit-box
     coordinates, kept so predictions and audits evaluate the exact fitted
-    form."""
+    form. ``kernel`` is the unridged Phi block the model was trained on;
+    ``predict_batch`` reuses its rows for inputs that are centers."""
 
     omega: np.ndarray         # (d,) radial weights
     beta: np.ndarray          # (s,) linear-tail coefficients (unit-box space)
@@ -142,18 +191,39 @@ class RbfModel:
     centers: np.ndarray       # (d, s) scaled training samples
     lower: np.ndarray
     upper: np.ndarray
+    kernel: np.ndarray        # (d, d) ||c_i - c_j||^3, without the ridge
     regularized: bool = False
 
     def _scale(self, x: np.ndarray) -> np.ndarray:
         return (x - self.lower) / (self.upper - self.lower)
+
+    @staticmethod
+    def _row_keys(z: np.ndarray) -> list[bytes]:
+        # the raw bytes of each row: equal keys mean bit-equal coordinates
+        z = np.ascontiguousarray(z)
+        return z.view(f"V{z.itemsize * z.shape[1]}").ravel().tolist()
+
+    @cached_property
+    def _center_row(self) -> dict[bytes, int]:
+        return dict(zip(self._row_keys(self.centers), range(len(self.centers))))
 
     def predict_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.lower.size:
             raise ValueError("dimension mismatch")
         z = self._scale(xs)
-        radial = cdist(z, self.centers) ** 3 @ self.omega
-        return radial + z @ self.beta + self.alpha
+        # an input that is a center has that center's kernel row as its row
+        # of cdist(z, centers) ** 3, bit for bit
+        found = np.array([self._center_row.get(key, -1) for key in self._row_keys(z)],
+                         dtype=np.intp)
+        hit = found >= 0
+        if hit.any():
+            k = np.empty((len(z), len(self.centers)))
+            k[hit] = self.kernel[found[hit]]
+            k[~hit] = cdist(z[~hit], self.centers) ** 3
+        else:  # a batch of trials seldom holds a center; skip the copy
+            k = cdist(z, self.centers) ** 3
+        return k @ self.omega + z @ self.beta + self.alpha
 
 
 INTERP_RTOL = 1e-6  # accepted relative residual at the training samples
@@ -179,10 +249,10 @@ def train_surrogate(archive: TrainingArchive) -> RbfModel:
     centers = (archive.points - archive.lower) / span
     labels = archive.values.copy()
 
-    phi = cdist(centers, centers) ** 3
+    phi = squareform(pdist(centers) ** 3)
     q = np.hstack([centers, np.ones((d, 1))])
-    a = np.zeros((d + s + 1, d + s + 1))
-    a[:d, :d] = phi
+    a = np.zeros((d + s + 1, d + s + 1), order="F")
+    a[:d, :d] = phi.T  # phi is exactly symmetric; .T matches a's layout
     a[:d, d:] = q
     a[d:, :d] = q.T
     rhs = np.concatenate([labels, np.zeros(s + 1)])
@@ -195,6 +265,7 @@ def train_surrogate(archive: TrainingArchive) -> RbfModel:
             centers=centers,
             lower=archive.lower.copy(),
             upper=archive.upper.copy(),
+            kernel=phi,
             regularized=regularized,
         )
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from coopevo.rbf import DUPLICATE_TOL, TrainingArchive, TrainingError, train_surrogate
+from coopevo import rbf
+from coopevo.rbf import (
+    DUPLICATE_TOL,
+    INTERP_RTOL,
+    TrainingArchive,
+    TrainingError,
+    train_surrogate,
+)
 
 
 def filled_archive(points, values, lower=None, upper=None):
@@ -187,6 +195,29 @@ def test_push_rejects_unequal_lengths():
     assert arch.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]  # nothing evicted
 
 
+def test_fill_rejects_points_of_the_wrong_width():
+    # a (4, 1) block used to broadcast each value across its row
+    arch = TrainingArchive(4, np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match=r"shape \(b, 3\), got \(4, 1\)"):
+        arch.fill(np.full((4, 1), 0.5), np.arange(4.0))
+    assert len(arch) == 0
+
+
+@pytest.mark.parametrize(
+    "points",
+    [np.array([0.7, 0.8, 0.9]), np.full((3, 2), 0.5)],
+    ids=["one-dimensional", "width-2"],
+)
+def test_push_rejects_points_of_the_wrong_shape(points):
+    arch = filled_archive(np.arange(12.0).reshape(4, 3) / 20.0, np.arange(4.0),
+                          lower=np.zeros(3), upper=np.ones(3))
+    before = arch.points.copy()
+    with pytest.raises(ValueError, match=r"shape \(b, 3\)"):
+        arch.push(points, np.array([1.0, 2.0, 3.0]))
+    assert np.array_equal(arch.points, before)  # nothing evicted
+    assert arch.values.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
 @pytest.mark.parametrize(
     "lower, upper",
     [([0.0, 0.0], [1.0]), ([0.0, 0.0], [1.0, 0.0]), ([0.0], [-1.0])],
@@ -303,3 +334,144 @@ def test_rebase_rejects_nonpositive_delta():
         arch.rebase(0.0)
     with pytest.raises(ValueError):
         arch.rebase(-1.0)
+
+
+def test_push_without_close_pair_stores_rows_as_given():
+    rng = np.random.default_rng(9)
+    arch = filled_archive(rng.uniform(-10, 10, (20, 4)), rng.normal(size=20))
+    batch = rng.uniform(-10, 10, (7, 4))
+    arch.push(batch, np.arange(7.0))
+    assert arch.points[-7:].tobytes() == batch.tobytes()
+    assert arch.values[-7:].tolist() == list(range(7))
+
+
+def test_late_duplicate_in_batch_is_nudged_like_the_reference():
+    # the fill and the first push have no close pair and are written as
+    # whole batches; the second push's only duplicate pairs its last row
+    # with its first, so its nudge is seeded by the tick count of the
+    # batches before it
+    rng = np.random.default_rng(10)
+    cap, s = 12, 3
+    lower, upper = np.full(s, -5.0), np.full(s, 5.0)
+    arch = TrainingArchive(cap, lower, upper)
+    ref = ListArchive(cap, lower, upper)
+    init = rng.uniform(lower, upper, (cap, s))
+    arch.fill(init, np.arange(cap, dtype=float))
+    ref.push(init, np.arange(cap, dtype=float))
+    clean = rng.uniform(lower, upper, (5, s))
+    late = rng.uniform(lower, upper, (6, s))
+    late[-1] = late[0]
+    for batch in (clean, late):
+        arch.push(batch, np.arange(len(batch), dtype=float))
+        ref.push(batch, np.arange(len(batch), dtype=float))
+    assert not np.array_equal(arch.points[-1], late[-1])  # nudged
+    assert np.array_equal(arch.points[-6:-1], late[:-1])  # nothing else
+    assert arch.points.tobytes() == np.array(ref.rows).tobytes()
+
+
+def test_non_finite_row_takes_the_row_by_row_insert():
+    # cdist's Chebyshev gap skips a NaN coordinate; the row-by-row check
+    # does not, and it nudges the finite coordinates of such a row
+    arch = filled_archive([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],
+                          [0.0, 1.0, 2.0])
+    arch.push(np.array([[4.0, np.nan, 5.0]]), np.array([3.0]))
+    stored = arch.points[-1]
+    assert np.isnan(stored[1])
+    assert stored[0] != 4.0 and stored[2] != 5.0
+    assert np.max(np.abs(stored[[0, 2]] - [4.0, 5.0])) <= 1e-9 * 20.0
+
+
+def reference_train(archive):
+    """Straight-line training: full cdist kernel, C-order bordered system,
+    the same ridge and least-squares fallbacks as train_surrogate. Returns
+    the solution, the regularized flag and the path that produced it."""
+    d, s = len(archive), archive.s
+    centers = (archive.points - archive.lower) / (archive.upper - archive.lower)
+    labels = archive.values.copy()
+    phi = cdist(centers, centers) ** 3
+    q = np.hstack([centers, np.ones((d, 1))])
+    a = np.zeros((d + s + 1, d + s + 1))
+    a[:d, :d] = phi
+    a[:d, d:] = q
+    a[d:, :d] = q.T
+    rhs = np.concatenate([labels, np.zeros(s + 1)])
+    try:
+        sol = np.linalg.solve(a, rhs)
+        if np.all(np.isfinite(sol)):
+            residual = phi @ sol[:d] + q @ sol[d:] - labels
+            tol = INTERP_RTOL * max(1.0, float(np.max(np.abs(labels))))
+            if np.max(np.abs(residual)) <= tol:
+                return sol, False, "solve"
+    except np.linalg.LinAlgError:
+        pass
+    lam = 1e-10 * float(phi.mean())
+    if lam <= 0.0:
+        lam = 1e-12
+    a[:d, :d] += lam * np.eye(d)
+    try:
+        sol = np.linalg.solve(a, rhs)
+        if not np.all(np.isfinite(sol)):
+            raise np.linalg.LinAlgError("non-finite solution")
+        return sol, True, "ridge"
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, rhs, rcond=None)[0], True, "lstsq"
+
+
+def surrogate_archive(s, kind, seed=11):
+    rng = np.random.default_rng(seed)
+    d = 5 * s
+    arch = filled_archive(rng.uniform(-10, 10, (d, s)), rng.normal(size=d) * 100.0)
+    if kind == "duplicate":    # bypass the insert-time dedupe
+        arch.points[1] = arch.points[0]
+        arch.values[1] = arch.values[0] + 5.0
+    elif kind == "rank-deficient":
+        # all samples on the diagonal line; at s = 1 that line is the whole
+        # space, so the samples collapse onto one point instead
+        arch.points[:] = arch.points[:, :1] if s > 1 else arch.points[0]
+    return arch
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicate", "rank-deficient"])
+@pytest.mark.parametrize("s", [1, 5, 20, 50])
+def test_training_is_bit_equal_to_full_kernel_formula(s, kind):
+    arch = surrogate_archive(s, kind)
+    model = train_surrogate(arch)
+    sol, regularized, path = reference_train(arch)
+    d = len(arch)
+    assert model.omega.tobytes() == sol[:d].tobytes()
+    assert model.beta.tobytes() == sol[d:d + s].tobytes()
+    assert model.alpha == float(sol[d + s])
+    assert model.regularized == regularized
+    assert path == {"random": "solve", "duplicate": "ridge", "rank-deficient": "lstsq"}[kind]
+
+
+def full_kernel_prediction(model, xs):
+    z = (xs - model.lower) / (model.upper - model.lower)
+    return cdist(z, model.centers) ** 3 @ model.omega + z @ model.beta + model.alpha
+
+
+@pytest.mark.parametrize("s", [1, 5, 20, 50])
+def test_prediction_is_bit_equal_to_full_kernel_formula(s):
+    arch = surrogate_archive(s, "random")
+    model = train_surrogate(arch)
+    rng = np.random.default_rng(12)
+    samples = arch.points.copy()
+    fresh = rng.uniform(-10, 10, (3 * s, s))
+    mixed = np.concatenate([samples[::2], fresh])
+    mixed = mixed[rng.permutation(len(mixed))]
+    for xs in (samples, fresh, mixed):
+        got = model.predict_batch(xs)
+        assert got.tobytes() == full_kernel_prediction(model, xs).tobytes()
+    assert model.predict_batch(np.empty((0, s))).shape == (0,)
+
+
+def test_prediction_of_training_samples_reuses_kernel_rows(monkeypatch):
+    arch = surrogate_archive(5, "random")
+    model = train_surrogate(arch)
+    rows = []
+    monkeypatch.setattr(rbf, "cdist", lambda z, c: rows.append(len(z)) or cdist(z, c))
+    model.predict_batch(arch.points[::-1].copy())
+    model.predict_batch(np.concatenate([arch.points[:4], np.full((2, 5), 0.25)]))
+    assert rows == [0, 2]  # distances only for the rows that are not centers
+    model.predict_batch(np.full((3, 5), 0.25))
+    assert rows == [0, 2, 3]
