@@ -27,6 +27,16 @@ reduction is taken per row in the same order as on a single group:
 Every base is therefore row-stable: its value on one row does not depend on
 the other rows stacked with it. The shifts at each group's indices and the
 elliptic coefficients of each group size are computed once, not per call.
+
+Because the function is a sum of group terms, a point that differs from a
+known one only inside some groups needs only those groups recomputed:
+``terms(x, known=(kept, groups))`` copies the kept terms and recomputes the
+listed groups, each as a one-group ``(1, m)`` slice of its block, which row
+stability makes bit-equal to its row of the stacked pass; ``evaluate`` sums
+the result in group order as before, so the value is bit-identical too.
+``groups_of`` maps variable indices to the positions of the groups that own
+them. The cooperative run uses this to score a sub-solution embedded into
+the context vector from the context's kept terms (``runtime``).
 """
 
 from __future__ import annotations
@@ -198,6 +208,12 @@ class _Block(NamedTuple):
             z = np.matmul(rots, z[..., None])[..., 0]
         return weights * base(z)
 
+    def row(self, r: int) -> "_Block":
+        """Group ``r`` alone, as a one-group block of views into this one."""
+        rots = None if self.rots is None else self.rots[r:r + 1]
+        return self._replace(idx=self.idx[r:r + 1], shift=self.shift[r:r + 1], rots=rots,
+                             weights=self.weights[r:r + 1], pos=self.pos[r:r + 1])
+
 
 @dataclass(frozen=True, eq=False)
 class BenchmarkFunction:
@@ -263,6 +279,15 @@ class BenchmarkFunction:
             blocks.append(_Block(idx, self.shift[idx], stacked, BASES[base],
                                  np.array(weights, dtype=float), np.array(pos)))
         object.__setattr__(self, "_blocks", tuple(blocks))
+        # each group alone as a one-group block, in group order, and the
+        # position of the group that owns each variable
+        single = {pos: block.row(r) for block in blocks
+                  for r, pos in enumerate(block.pos.tolist())}
+        object.__setattr__(self, "_single", tuple(single[pos] for pos in sorted(single)))
+        owner = np.empty(self.n, dtype=int)
+        for pos, grp in enumerate(self.structure.groups):
+            owner[list(grp)] = pos
+        object.__setattr__(self, "_owner", owner)
         # hold each rotation once: as a view into its stacked block, in
         # rotated-group order
         views = {pos: rot for block in blocks if block.rots is not None
@@ -272,25 +297,41 @@ class BenchmarkFunction:
     def __call__(self, x: np.ndarray) -> float:
         return self.evaluate(x)
 
-    def evaluate(self, x: np.ndarray) -> float:
-        """Full fitness: the sum of ``terms(x)``.
+    def evaluate(self, x: np.ndarray, known: tuple | None = None) -> float:
+        """Full fitness: the sum of ``terms(x, known)``.
 
         The terms are added one at a time in group order, so the value is
         bit-identical to evaluating and adding the groups one by one (see
-        the module docstring)."""
-        return sum(self.terms(x).tolist())
+        the module docstring), with or without ``known``."""
+        return sum(self.terms(x, known).tolist())
 
-    def terms(self, x: np.ndarray) -> np.ndarray:
+    def terms(self, x: np.ndarray, known: tuple | None = None) -> np.ndarray:
         """The weighted term of every group at ``x``, in group order.
 
-        Each block of equal-shape groups is evaluated in one stacked pass."""
+        Without ``known`` each block of equal-shape groups is evaluated in
+        one stacked pass. ``known = (terms, groups)`` holds the terms of a
+        point that agrees with ``x`` outside the group positions ``groups``
+        (see ``groups_of``): those terms are kept and only the listed groups
+        are recomputed, each as a one-group slice of its block."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        out = np.empty(len(self.bases))
-        for block in self._blocks:
-            out[block.pos] = block.terms(x)
+        if known is None:
+            out = np.empty(len(self.bases))
+            for block in self._blocks:
+                out[block.pos] = block.terms(x)
+            return out
+        kept, groups = known
+        if np.shape(kept) != (len(self.bases),):
+            raise ValueError(f"expected {len(self.bases)} known terms, got shape {np.shape(kept)}")
+        out = np.array(kept, dtype=float)
+        for pos in groups:
+            out[pos] = self._single[pos].terms(x)[0]
         return out
+
+    def groups_of(self, indices) -> tuple[int, ...]:
+        """Sorted positions of the groups that own any of ``indices``."""
+        return tuple(np.unique(self._owner[np.asarray(indices, dtype=int)]).tolist())
 
     def manifest(self) -> dict:
         """Auditable description of the function (no large matrices)."""

@@ -42,6 +42,8 @@ class Decomposition:
 
     def __post_init__(self):
         check_partition([sub.indices for sub in self.subproblems], self.n)
+        if [sub.sid for sub in self.subproblems] != list(range(self.k)):
+            raise ValueError("sub-problem ids must be 0..k-1 in order")
 
     @property
     def k(self) -> int:

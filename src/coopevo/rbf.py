@@ -58,13 +58,14 @@ class TrainingArchive:
     nudged toward the box center by ~1e-9 of the bound range before insert;
     coincident rows would make the Phi block exactly singular.
 
-    Each batch is first checked as a whole: one Chebyshev ``cdist`` compares
-    every new row with the stored rows and with the earlier rows of its
-    batch. If no pair is closer than DUPLICATE_TOL and every row is finite,
-    the batch is written as it is. That is exact: with nothing nudged, each
-    row meets the same earlier rows as in the row-by-row insert. Otherwise
-    the batch is inserted one row at a time, each row checked against all
-    rows written before it.
+    Each batch is first checked as a whole: a Chebyshev ``cdist`` compares
+    every new row with the stored rows and a Chebyshev ``pdist`` compares
+    each pair of rows of the batch once (the maximum is exact, so the gaps
+    are those of the row-by-row check). If no pair is closer than
+    DUPLICATE_TOL and every row is finite, the batch is written as it is.
+    That is exact: with nothing nudged, each row meets the same earlier rows
+    as in the row-by-row insert. Otherwise the batch is inserted one row at
+    a time, each row checked against all rows written before it.
 
     The rows live in one preallocated ``(capacity, s)`` block; ``points``
     and ``values`` are views of its filled part, so they change with the
@@ -132,12 +133,14 @@ class TrainingArchive:
         self._points[n : n + b] = points
         self._values[n : n + b] = values
         rows = self._points[: n + b]
-        # gap of each new row to every row before it; cdist skips NaN
-        # coordinates where the row-by-row check does not, so a non-finite
-        # row always takes the row-by-row insert
-        gap = cdist(points, rows, "chebyshev")
-        gap[:, n:][np.triu_indices(b)] = np.inf
-        if np.all(gap >= DUPLICATE_TOL) and np.all(np.isfinite(rows)):
+        # gap of each new row to every stored row and to the other rows of
+        # its batch; the distances skip NaN coordinates where the row-by-row
+        # check does not, so a non-finite row always takes the row-by-row
+        # insert
+        stored = cdist(points, self._points[:n], "chebyshev")
+        within = pdist(points, "chebyshev")
+        if (np.all(stored >= DUPLICATE_TOL) and np.all(within >= DUPLICATE_TOL)
+                and np.all(np.isfinite(rows))):
             self._n += b
             self._next_tick += b
             return

@@ -1,7 +1,18 @@
 """Shared run-time pieces: evaluation budget, context vector, run records
 and the cooperative run loop both optimizers are built on. Each
 sub-problem's SHADE search state is ``shade.SubState``; the run seeds one
-per sub-problem."""
+per sub-problem.
+
+The run also keeps the context's group terms (``context_terms``) and, per
+sub-problem, the groups its variables fall in. A charged row differs from
+the context only inside those groups, so ``evaluate_rows`` passes the kept
+terms to ``BenchmarkFunction.evaluate``, which recomputes only those groups
+and returns the value a full evaluation gives, bit for bit; ``adopt``
+refreshes the kept terms the same way, uncharged. A sub-problem that
+touches every group (a fully separable function) is evaluated in full.
+The terms belong to the benchmark, which stands in for the expensive
+model: the optimizers never see them, and every row is still charged one
+evaluation."""
 
 from __future__ import annotations
 
@@ -173,6 +184,12 @@ class CooperativeRun:
         x0 = self.rng.uniform(fn.lower, fn.upper)
         self.budget.spend()
         self.context = ContextState(x0, fn(x0))
+        # book-keeping for the objective, not seen by the optimizers: the
+        # group terms of the context and, per sub-problem, the groups its
+        # rows change (None when that is every group)
+        self.context_terms = fn.terms(x0)
+        touched = [fn.groups_of(sub.indices) for sub in decomposition.subproblems]
+        self.touched = [None if len(t) == len(fn.bases) else t for t in touched]
 
         self.cursor = 0
         self.generation = 0
@@ -205,24 +222,37 @@ class CooperativeRun:
         self.record.loop_real_evals += real_evals
         self.add_row(sub_id, f_best)
 
+    def _known(self, sub: SubProblem) -> tuple | None:
+        """The ``known`` argument of ``fn.evaluate`` for a point that agrees
+        with the context outside ``sub``: the context's terms and the groups
+        ``sub`` touches, or None to evaluate every group."""
+        touched = self.touched[sub.sid]
+        return None if touched is None else (self.context_terms, touched)
+
     def evaluate_rows(self, sub: SubProblem, rows: np.ndarray) -> np.ndarray:
         """Real fitness of each row of ``rows`` embedded into the context, in
         row order, one budgeted evaluation each. Stops at the first row the
         budget cannot pay for, so the result may be a shorter prefix.
 
         This is the one place that charges the objective after ``x0``: both
-        optimizers score every sub-solution through it."""
+        optimizers score every sub-solution through it. Each row is one
+        ``fn.evaluate`` call that reuses the context's terms and recomputes
+        only the groups ``sub`` touches, which is bit-identical to
+        ``fn(embed(context.x, sub, row))``."""
+        known = self._known(sub)
         n = self.budget.max_fe - self.budget.used
         f = []
         for x in rows[:n]:
             self.budget.spend()
-            f.append(self.fn(embed(self.context.x, sub, x)))
+            f.append(self.fn.evaluate(embed(self.context.x, sub, x), known=known))
         return np.array(f, dtype=float)
 
     def adopt(self, sub: SubProblem, x_g: np.ndarray, f: float):
-        """Embed ``x_g`` into the context, whose real fitness becomes ``f``."""
+        """Embed ``x_g`` into the context, whose real fitness becomes ``f``,
+        and recompute the context's terms of the groups ``sub`` touches."""
         self.context.x = embed(self.context.x, sub, x_g)
         self.context.f = f
+        self.context_terms = self.fn.terms(self.context.x, self._known(sub))
         self.record.context_updates += 1
 
     def finish(self) -> RunRecord:

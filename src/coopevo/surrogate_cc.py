@@ -64,8 +64,9 @@ class SurrogateCC(CooperativeRun):
     """One seeded run of the surrogate-assisted optimizer.
 
     ``audit=True`` re-evaluates the context after every context update (not
-    charged to the budget) and verifies both the book-kept context fitness
-    and a spot-checked stored improvement of an uninvolved sub-problem.
+    charged to the budget) and verifies the kept context terms (bit for
+    bit), the book-kept context fitness and a spot-checked stored
+    improvement of an uninvolved sub-problem.
     """
 
     algorithm = "sacc"
@@ -173,7 +174,11 @@ class SurrogateCC(CooperativeRun):
 
     def _run_audit(self, g: int):
         # uncharged re-evaluations; failures indicate book-keeping drift
-        fresh = self.fn(self.context.x)
+        fresh_terms = self.fn.terms(self.context.x)
+        if not np.array_equal(fresh_terms, self.context_terms, equal_nan=True):
+            bad = np.flatnonzero(fresh_terms != self.context_terms).tolist()
+            raise AuditFailure(f"kept context terms of groups {bad} differ from re-evaluation")
+        fresh = sum(fresh_terms.tolist())  # fn(context.x), bit for bit
         rel = abs(fresh - self.context.f) / max(1.0, abs(fresh))
         self.record.max_audit_rel_err = max(self.record.max_audit_rel_err, rel)
         if rel > AUDIT_RTOL:

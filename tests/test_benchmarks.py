@@ -349,6 +349,60 @@ def test_evaluate_rejects_wrong_length():
         fn.terms(np.zeros(fn.n - 1))
 
 
+def test_known_terms_reject_wrong_length_like_the_full_path():
+    fn = small_suite()[13]  # twenty rotated groups
+    x = fn.shift.copy()
+    known = (fn.terms(x), fn.groups_of([0]))
+    for bad in (np.zeros(fn.n + 1), np.zeros(fn.n - 1), np.zeros((1, fn.n))):
+        with pytest.raises(ValueError, match=f"expected vector of length {fn.n}") as full:
+            fn.evaluate(bad)
+        with pytest.raises(ValueError, match=f"expected vector of length {fn.n}") as delta:
+            fn.evaluate(bad, known=known)
+        assert str(delta.value) == str(full.value)
+    with pytest.raises(ValueError, match="known terms"):
+        fn.evaluate(x, known=(fn.terms(x)[:-1], known[1]))
+
+
+def test_groups_of_lists_sorted_owner_positions():
+    for fn in small_suite():
+        groups = fn.structure.groups
+        for pos, grp in enumerate(groups):
+            assert fn.groups_of(grp) == (pos,)
+        last, first = groups[-1][0], groups[0][-1]
+        assert fn.groups_of([last, first]) == tuple(sorted({0, len(groups) - 1}))
+        assert fn.groups_of(np.arange(fn.n)) == tuple(range(len(groups)))
+
+
+@pytest.mark.parametrize("dim", [40, 1000])
+def test_known_terms_recompute_only_the_listed_groups(dim):
+    rng = np.random.default_rng(dim + 1)
+    for fid in FUNCTION_IDS:
+        fn = get_function(fid, dim, seed=1)
+        x = rng.uniform(fn.lower, fn.upper)
+        kept = fn.terms(x)
+        for pos, grp in enumerate(fn.structure.groups):
+            y = x.copy()
+            y[list(grp)] = rng.uniform(fn.lower[list(grp)], fn.upper[list(grp)])
+            known = (kept, (pos,))
+            assert fn.terms(y, known).tolist() == fn.terms(y).tolist(), fid
+            assert fn.evaluate(y, known=known) == fn(y), fid
+        if len(kept) > 1:
+            # a change that spans the first and the last group
+            y = x.copy()
+            for grp in (fn.structure.groups[0], fn.structure.groups[-1]):
+                y[list(grp)] = rng.uniform(fn.lower[list(grp)], fn.upper[list(grp)])
+            changed = fn.groups_of(np.flatnonzero(y != x))
+            assert changed == (0, len(kept) - 1)
+            assert fn.evaluate(y, known=(kept, changed)) == fn(y), fid
+        # a kept term is taken as given, not recomputed, and the argument
+        # is not written
+        wrong = kept + 1.0
+        got = fn.terms(x, (wrong, (len(kept) - 1,)))
+        assert got[:-1].tolist() == wrong[:-1].tolist()
+        assert got[-1] == kept[-1]
+        assert wrong.tolist() == (kept + 1.0).tolist()
+
+
 def test_weighted_single_group_functions():
     # the single rotated block carries a 1e6 weight
     fn = get_function("f04", 40, seed=1)

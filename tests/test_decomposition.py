@@ -53,6 +53,16 @@ def test_decomposition_validates_partition():
         Decomposition((floats,), 2)
 
 
+def test_decomposition_requires_ids_in_order():
+    # a run looks each sub-problem's book-keeping up by its id
+    bounds = np.zeros(2), np.ones(2)
+    sub_a = SubProblem(1, np.array([0]), bounds[0][:1], bounds[1][:1])
+    sub_b = SubProblem(0, np.array([1]), bounds[0][:1], bounds[1][:1])
+    with pytest.raises(ValueError, match="ids must be 0..k-1 in order"):
+        Decomposition((sub_a, sub_b), 2)
+    assert Decomposition((sub_b, sub_a), 2).k == 2
+
+
 def test_ideal_decompose_rejects_bad_args():
     fn = make_separable("sphere", 10, seed=1)
     with pytest.raises(ValueError):

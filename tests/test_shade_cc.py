@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coopevo.benchmarks import BenchmarkFunction, make_separable
+from coopevo.benchmarks import BenchmarkFunction, get_function, make_separable
 from coopevo.decomposition import ideal_decompose
 from coopevo.runtime import CooperativeRun, RunParams
 from coopevo.shade import SubState
@@ -135,19 +135,24 @@ def test_shared_start_and_dimension_check(cls):
 
 
 # budgets that end inside a generation (51 and 41 are the sacc set-up costs
-# at d_factor 5 and 1); sacc at d_factor 1 falls back to real evaluation of
-# every trial in every generation
+# at d_factor 5 and 1 on the 10-d sphere, 401 on f14 at 40-d); sacc at
+# d_factor 1 falls back to real evaluation of every trial in every
+# generation. The sphere is one separable group, so its rows take the full
+# evaluation; each sub-problem of f14 owns one of its 20 rotated groups, so
+# its rows take the context-terms path.
 CHARGE_CASES = {
-    "sacc": (SurrogateCC, dict(p=20, q=4), 51 + 4 * 3 + 2),
-    "sacc-fallback": (SurrogateCC, dict(p=20, q=4, d_factor=1), 41 + 67),
-    "shade-cc": (ShadeCC, dict(p=20, visit_len=5), 1 + 2 * (20 + 5 * 20) + 20 + 7),
+    "sacc": (SurrogateCC, dict(p=20, q=4), 51 + 4 * 3 + 2, None),
+    "sacc-fallback": (SurrogateCC, dict(p=20, q=4, d_factor=1), 41 + 67, None),
+    "shade-cc": (ShadeCC, dict(p=20, visit_len=5), 1 + 2 * (20 + 5 * 20) + 20 + 7, None),
+    "sacc-rotated": (SurrogateCC, dict(p=20, q=4), 401 + 4 * 3 + 2, "f14"),
+    "shade-cc-rotated": (ShadeCC, dict(p=20, visit_len=5), 1 + 2 * (20 + 5 * 20) + 20 + 7, "f14"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CHARGE_CASES))
 def test_every_charge_after_x0_goes_through_evaluate_rows(case, monkeypatch):
     # the charged x0 is the one evaluation outside the row evaluator
-    cls, kw, max_fe = CHARGE_CASES[case]
+    cls, kw, max_fe, fid = CHARGE_CASES[case]
     rows = []
     evaluate_rows = CooperativeRun.evaluate_rows
 
@@ -157,22 +162,28 @@ def test_every_charge_after_x0_goes_through_evaluate_rows(case, monkeypatch):
         return values
 
     monkeypatch.setattr(CooperativeRun, "evaluate_rows", counted)
-    fn = make_separable("sphere", 10, 1)
+    if fid is None:
+        fn, s_sep = make_separable("sphere", 10, 1), 5
+    else:
+        fn, s_sep = get_function(fid, 40, 1), 2
     # with the audit off (the default) every objective call is charged, one
     # per row: perfbench counts charged evaluations as evaluate calls
     calls = []
     evaluate = BenchmarkFunction.evaluate
 
-    def counted_evaluate(self, x):
-        calls.append(1)
-        return evaluate(self, x)
+    def counted_evaluate(self, *args, **kwargs):
+        calls.append(kwargs.get("known") is not None)
+        return evaluate(self, *args, **kwargs)
 
     monkeypatch.setattr(BenchmarkFunction, "evaluate", counted_evaluate)
-    decomp = ideal_decompose(fn.structure, 5, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn.structure, s_sep, fn.lower, fn.upper)
     opt = cls(fn, decomp, RunParams(max_fe=max_fe, **kw), seed=1)
     record = opt.run()
     assert opt.budget.used == max_fe == 1 + sum(rows)
     assert len(calls) == opt.budget.used
+    # every row after x0 reuses the context's terms exactly when the
+    # function has groups its sub-problems leave alone
+    assert sum(calls) == (0 if fid is None else max_fe - 1)
     if case == "sacc-fallback":
         assert record.fallback_generations == opt.generation > 0
     else:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from coopevo.benchmarks import make_separable
+from coopevo.benchmarks import get_function, make_separable
 from coopevo.decomposition import embed, ideal_decompose
-from coopevo.runtime import BudgetExhausted, ContextState, FeBudget, RunParams
+from coopevo.runtime import AuditFailure, BudgetExhausted, ContextState, FeBudget, RunParams
 from coopevo.surrogate_cc import SurrogateCC, initialization_cost
 
 
@@ -27,6 +27,7 @@ def set_context(opt, x, max_fe):
     """Give ``opt`` the context ``x`` and a fresh budget of ``max_fe``
     evaluations, for probing ``evaluate_rows`` directly."""
     opt.context = ContextState(x, opt.fn(x))
+    opt.context_terms = opt.fn.terms(x)
     opt.budget = FeBudget(max_fe)
 
 
@@ -222,6 +223,34 @@ def test_audit_mode_runs_clean():
     assert opt.record.context_updates > 0
     assert opt.record.max_audit_rel_err <= 1e-9
     assert opt.record.max_crosscheck_err <= 1e-9
+
+
+def rotated_opt(audit=True):
+    fn = get_function("f14", 40, 1)  # twenty rotated groups of two
+    decomp = ideal_decompose(fn.structure, 2, fn.lower, fn.upper)
+    params = RunParams(max_fe=2000, p=20, q=4, d_factor=5, memory_size=10)
+    return fn, decomp, SurrogateCC(fn, decomp, params, seed=1, audit=audit)
+
+
+def test_audit_mode_runs_clean_on_rotated_groups():
+    # rows of f14 reuse the context's kept terms, which the audit checks
+    _, decomp, opt = rotated_opt()
+    for _ in range(2 * decomp.k):
+        opt.step()
+    assert opt.record.context_updates > decomp.k // 2
+    assert opt.record.max_audit_rel_err <= 1e-9
+    assert opt.record.max_crosscheck_err <= 1e-9
+
+
+def test_audit_catches_a_corrupted_kept_term():
+    fn, decomp, opt = rotated_opt()
+    # the group of the sub-problem visited last in the round: no adopt before
+    # that visit recomputes it
+    (pos,) = fn.groups_of(decomp.subproblems[-1].indices)
+    opt.context_terms[pos] += 1e-6
+    with pytest.raises(AuditFailure, match=rf"kept context terms of groups \[{pos}\]"):
+        for _ in range(decomp.k - 1):
+            opt.step()
 
 
 def test_step_with_stub_predictor_skips_training():
