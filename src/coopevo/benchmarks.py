@@ -330,7 +330,12 @@ class BenchmarkFunction:
         return out
 
     def groups_of(self, indices) -> tuple[int, ...]:
-        """Sorted positions of the groups that own any of ``indices``."""
+        """Sorted positions of the groups that own any of ``indices``, each
+        an integer (``bool`` is not one) in 0..n-1."""
+        indices = indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
+        for i in indices:
+            if type(i) is bool or not isinstance(i, (int, np.integer)) or not 0 <= i < self.n:
+                raise ValueError(f"variable index {i!r} is not an integer in 0..{self.n - 1}")
         return tuple(np.unique(self._owner[np.asarray(indices, dtype=int)]).tolist())
 
     def manifest(self) -> dict:

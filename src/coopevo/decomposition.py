@@ -73,8 +73,6 @@ def ideal_decompose(
     """
     if s_sep < 1:
         raise ValueError("s_sep must be >= 1")
-    if not structure.groups:
-        raise ValueError("empty structure")
 
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)

@@ -175,8 +175,8 @@ class SurrogateCC(CooperativeRun):
     def _run_audit(self, g: int):
         # uncharged re-evaluations; failures indicate book-keeping drift
         fresh_terms = self.fn.terms(self.context.x)
-        if not np.array_equal(fresh_terms, self.context_terms, equal_nan=True):
-            bad = np.flatnonzero(fresh_terms != self.context_terms).tolist()
+        if not np.array_equal(fresh_terms, self.context.terms, equal_nan=True):
+            bad = np.flatnonzero(fresh_terms != self.context.terms).tolist()
             raise AuditFailure(f"kept context terms of groups {bad} differ from re-evaluation")
         fresh = sum(fresh_terms.tolist())  # fn(context.x), bit for bit
         rel = abs(fresh - self.context.f) / max(1.0, abs(fresh))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -372,6 +373,19 @@ def test_groups_of_lists_sorted_owner_positions():
         assert fn.groups_of([last, first]) == tuple(sorted({0, len(groups) - 1}))
         assert fn.groups_of(np.arange(fn.n)) == tuple(range(len(groups)))
 
+
+
+@pytest.mark.parametrize("bad", [-1, 40, 1.7, True, np.True_, np.float64(3.0)])
+def test_groups_of_rejects_entries_that_are_not_variable_indices(bad):
+    # a negative entry would wrap to the owner of variable 39, a float or
+    # bool one would truncate to the owner of variable 1 or 3
+    fn = get_function("f09", 40, seed=1)
+    message = re.escape(f"variable index {bad!r} is not an integer in 0..39")
+    with pytest.raises(ValueError, match=message):
+        fn.groups_of([2, bad])
+    with pytest.raises(ValueError, match="variable index"):
+        fn.groups_of(np.array([bad]))
+    assert fn.groups_of([0, np.int64(39)]) == fn.groups_of(np.array([0, 39]))
 
 @pytest.mark.parametrize("dim", [40, 1000])
 def test_known_terms_recompute_only_the_listed_groups(dim):

@@ -17,7 +17,7 @@ import pytest
 import coopevo
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src/coopevo", "tests", "demos", "tools")
+SCANNED = ("src/coopevo", "tests", "demos", "tools", "perfbench")
 
 
 def _exported(tree: ast.Module) -> set[str]:

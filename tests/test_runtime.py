@@ -38,7 +38,7 @@ def test_evaluate_rows_is_bit_equal_to_full_evaluation(fid, dim):
             best = int(np.argmin(values))
             run.adopt(sub, rows[best], float(values[best]))
             assert run.context.f == fn(run.context.x)
-            assert run.context_terms.tolist() == fn.terms(run.context.x).tolist()
+            assert run.context.terms.tolist() == fn.terms(run.context.x).tolist()
 
 
 def test_rotated_sub_problems_touch_only_their_own_group():
@@ -49,11 +49,11 @@ def test_rotated_sub_problems_touch_only_their_own_group():
     for sub, touched in zip(decomp.subproblems, run.touched):
         (pos,) = touched
         assert set(sub.indices.tolist()) <= set(groups[pos])
-    # a function of one group is evaluated in full for every sub-problem
+    # every sub-problem of a one-group function touches that group
     fn = get_function("f01", 40, 1)
     decomp = ideal_decompose(fn.structure, 7, fn.lower, fn.upper)
     run = CooperativeRun(fn, decomp, RunParams(max_fe=10), seed=1)
-    assert run.touched == [None] * decomp.k
+    assert run.touched == [(0,)] * decomp.k
 
 
 def test_evaluate_rows_stops_at_the_budget():

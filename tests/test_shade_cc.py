@@ -88,6 +88,19 @@ def test_budget_ends_inside_revisit_refresh(seed):
         assert gens[-1].fe_used == max_fe - off
 
 
+@pytest.mark.parametrize("fid", ["f01", "f05", "f10", "f14", "f17"])
+def test_context_keeps_exact_terms_over_a_whole_run(fid):
+    # shade-cc has no audit mode: check the context's kept terms at the end
+    # of a run instead; it adopts a real fitness, so both checks are exact
+    fn = get_function(fid, 40, 1)
+    decomp = ideal_decompose(fn.structure, 7, fn.lower, fn.upper)
+    cc = ShadeCC(fn, decomp, RunParams(max_fe=3000, p=20, visit_len=3), seed=2)
+    record = cc.run()
+    assert record.context_updates > 0
+    assert cc.context.terms.tolist() == fn.terms(cc.context.x).tolist()
+    assert cc.context.f == fn(cc.context.x)
+
+
 def test_improves_on_single_block_problem():
     # one 10-d block: every visit optimizes the whole problem, so a few
     # thousand evaluations must improve the random start substantially
@@ -137,9 +150,9 @@ def test_shared_start_and_dimension_check(cls):
 # budgets that end inside a generation (51 and 41 are the sacc set-up costs
 # at d_factor 5 and 1 on the 10-d sphere, 401 on f14 at 40-d); sacc at
 # d_factor 1 falls back to real evaluation of every trial in every
-# generation. The sphere is one separable group, so its rows take the full
-# evaluation; each sub-problem of f14 owns one of its 20 rotated groups, so
-# its rows take the context-terms path.
+# generation. The sphere is one separable group and each sub-problem of f14
+# owns one of its 20 rotated groups; either way a row recomputes only the
+# groups its sub-problem touches from the context's terms.
 CHARGE_CASES = {
     "sacc": (SurrogateCC, dict(p=20, q=4), 51 + 4 * 3 + 2, None),
     "sacc-fallback": (SurrogateCC, dict(p=20, q=4, d_factor=1), 41 + 67, None),
@@ -181,9 +194,8 @@ def test_every_charge_after_x0_goes_through_evaluate_rows(case, monkeypatch):
     record = opt.run()
     assert opt.budget.used == max_fe == 1 + sum(rows)
     assert len(calls) == opt.budget.used
-    # every row after x0 reuses the context's terms exactly when the
-    # function has groups its sub-problems leave alone
-    assert sum(calls) == (0 if fid is None else max_fe - 1)
+    # every row after x0 reuses the context's terms
+    assert sum(calls) == max_fe - 1
     if case == "sacc-fallback":
         assert record.fallback_generations == opt.generation > 0
     else:

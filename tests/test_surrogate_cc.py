@@ -26,8 +26,7 @@ def make_opt(base="sphere", dim=10, s_sep=5, seed=1, audit=False, **kw):
 def set_context(opt, x, max_fe):
     """Give ``opt`` the context ``x`` and a fresh budget of ``max_fe``
     evaluations, for probing ``evaluate_rows`` directly."""
-    opt.context = ContextState(x, opt.fn(x))
-    opt.context_terms = opt.fn.terms(x)
+    opt.context = ContextState(x, opt.fn(x), opt.fn.terms(x))
     opt.budget = FeBudget(max_fe)
 
 
@@ -247,7 +246,7 @@ def test_audit_catches_a_corrupted_kept_term():
     # the group of the sub-problem visited last in the round: no adopt before
     # that visit recomputes it
     (pos,) = fn.groups_of(decomp.subproblems[-1].indices)
-    opt.context_terms[pos] += 1e-6
+    opt.context.terms[pos] += 1e-6
     with pytest.raises(AuditFailure, match=rf"kept context terms of groups \[{pos}\]"):
         for _ in range(decomp.k - 1):
             opt.step()
