@@ -8,35 +8,35 @@ Shift vectors and rotation matrices are synthesized from a seed instead of
 being loaded from external data files, which keeps every run reproducible
 from the seed alone.
 
-The group terms come from one stacked pass: at construction they are
-sorted into blocks of equal shape (same base, same group size, rotated or
-not), and ``BenchmarkFunction.terms`` evaluates each block in one pass over
-a ``(k, m)`` array of its k groups; ``evaluate`` sums those terms. The
-values are bit-identical to evaluating the groups one by one, because every
-reduction is taken per row in the same order as on a single group:
-
-- each dot product is a stacked ``np.matmul`` of ``(k, 1, m)`` slices,
-  which makes one BLAS dot per row (a ``(k, m) @ coef`` gemv or an
-  ``einsum`` would sum in another order);
-- each rotation is a stacked ``np.matmul`` of ``(k, m, m)`` by ``(k, m, 1)``,
-  one gemv per group, as ``rot @ z`` is;
-- sums run along the last axis, and ``ackley`` keeps libm's ``math.exp``
-  (``np.exp`` differs from it in the last ulp on some inputs);
-- the total adds the weighted group terms one at a time in group order.
-
-Every base is therefore row-stable: its value on one row does not depend on
-the other rows stacked with it. The shifts at each group's indices and the
-elliptic coefficients of each group size are computed once, not per call.
+Each group's weighted term is computed by one call, ``_Term.term``: the
+group's base applied to its shifted (and, if rotated, ``rot @ z``)
+coordinates, times its weight. ``BenchmarkFunction.terms`` calls it for
+every group in group order, and ``evaluate`` adds the terms one at a time
+in that order. The shift at each group's indices and the elliptic
+coefficients of each group size are computed once, not per call.
 
 Because the function is a sum of group terms, a point that differs from a
 known one only inside some groups needs only those groups recomputed:
-``terms(x, known=(kept, groups))`` copies the kept terms and recomputes the
-listed groups, each as a one-group ``(1, m)`` slice of its block, which row
-stability makes bit-equal to its row of the stacked pass; ``evaluate`` sums
-the result in group order as before, so the value is bit-identical too.
+``terms(x, known=(kept, groups))`` copies the kept terms and calls the term
+of each listed group, the same call a full evaluation makes, so the terms
+and their sum are bit-identical to a full evaluation by construction.
 ``groups_of`` maps variable indices to the positions of the groups that own
 them. The cooperative run uses this to score a sub-solution embedded into
 the context vector from the context's kept terms (``runtime``).
+
+Each base maps ``z`` of shape ``(..., m)`` to one value per row and is
+row-stable: a row's value does not depend on the other rows passed with
+it, and equals the value of the same row passed alone as a 1-D ``z``. So a
+step that scores many candidate rows of one group in one call gets the
+values the per-group term gives. Every reduction is taken per row:
+
+- each dot product is a stacked ``np.matmul`` of ``(..., 1, m)`` slices,
+  which makes one BLAS dot per row (a ``(b, m) @ coef`` gemv or an
+  ``einsum`` would sum in another order);
+- sums run along the last axis;
+- ``ackley`` keeps libm's ``math.exp``, one value at a time, so a row's
+  value is the scalar formula's (``np.exp`` differs from it in the last
+  ulp on some inputs).
 """
 
 from __future__ import annotations
@@ -190,29 +190,22 @@ class SeparabilityStructure:
         return [g for g, k in zip(self.groups, self.group_kind) if k == NONSEPARABLE]
 
 
-class _Block(NamedTuple):
-    """The terms of k groups of equal shape, stacked one row per group."""
+class _Term(NamedTuple):
+    """One group's weighted term."""
 
-    idx: np.ndarray  # (k, m) variable indices
-    shift: np.ndarray  # (k, m) shift at those indices
-    rots: np.ndarray | None  # (k, m, m) rotations, None for unrotated groups
+    idx: np.ndarray  # (m,) variable indices
+    shift: np.ndarray  # (m,) shift at those indices
+    rot: np.ndarray | None  # (m, m) rotation, None for a separable group
     base: Callable[[np.ndarray], np.ndarray]
-    weights: np.ndarray  # (k,)
-    pos: np.ndarray  # (k,) position of each group in group order
+    weight: float
 
-    def terms(self, x: np.ndarray) -> np.ndarray:
-        """Weighted base value of each group at the point ``x``."""
-        idx, shift, rots, base, weights, _ = self
+    def term(self, x: np.ndarray) -> float:
+        """Weighted base value of the group at the point ``x``."""
+        idx, shift, rot, base, weight = self
         z = x[idx] - shift
-        if rots is not None:
-            z = np.matmul(rots, z[..., None])[..., 0]
-        return weights * base(z)
-
-    def row(self, r: int) -> "_Block":
-        """Group ``r`` alone, as a one-group block of views into this one."""
-        rots = None if self.rots is None else self.rots[r:r + 1]
-        return self._replace(idx=self.idx[r:r + 1], shift=self.shift[r:r + 1], rots=rots,
-                             weights=self.weights[r:r + 1], pos=self.pos[r:r + 1])
+        if rot is not None:
+            z = rot @ z
+        return weight * base(z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,10 +244,9 @@ class BenchmarkFunction:
         n_rotated = self.structure.group_kind.count(NONSEPARABLE)
         if len(self.rotations) != n_rotated:
             raise ValueError(f"{len(self.rotations)} rotations for {n_rotated} nonseparable groups")
-        # (position, indices, rotation or None, weight) of each group, keyed by
-        # the shape of its term: (base, group size, rotated)
         rotations = iter(self.rotations)
-        by_shape: dict[tuple[str, int, bool], list] = {}
+        terms = []
+        owner = np.empty(self.n, dtype=int)
         for pos, (grp, kind, base, weight) in enumerate(zip(
             self.structure.groups, self.structure.group_kind, self.bases, self.weights
         )):
@@ -269,30 +261,12 @@ class BenchmarkFunction:
                 err = np.max(np.abs(rot.T @ rot - np.eye(m)))
                 if err > 1e-10:
                     raise ValueError(f"rotation not orthogonal (err={err:.2e})")
-            key = (base, len(grp), rot is not None)
-            by_shape.setdefault(key, []).append((pos, grp, rot, weight))
-        blocks = []
-        for (base, _, rotated), terms in by_shape.items():
-            pos, grps, rots, weights = zip(*terms)
-            idx = np.array(grps, dtype=int)
-            stacked = np.array(rots, dtype=float) if rotated else None
-            blocks.append(_Block(idx, self.shift[idx], stacked, BASES[base],
-                                 np.array(weights, dtype=float), np.array(pos)))
-        object.__setattr__(self, "_blocks", tuple(blocks))
-        # each group alone as a one-group block, in group order, and the
-        # position of the group that owns each variable
-        single = {pos: block.row(r) for block in blocks
-                  for r, pos in enumerate(block.pos.tolist())}
-        object.__setattr__(self, "_single", tuple(single[pos] for pos in sorted(single)))
-        owner = np.empty(self.n, dtype=int)
-        for pos, grp in enumerate(self.structure.groups):
-            owner[list(grp)] = pos
+            idx = np.array(grp, dtype=int)
+            terms.append(_Term(idx, self.shift[idx], rot, BASES[base], float(weight)))
+            owner[idx] = pos
+        object.__setattr__(self, "_terms", tuple(terms))
+        # the position of the group that owns each variable
         object.__setattr__(self, "_owner", owner)
-        # hold each rotation once: as a view into its stacked block, in
-        # rotated-group order
-        views = {pos: rot for block in blocks if block.rots is not None
-                 for pos, rot in zip(block.pos.tolist(), block.rots)}
-        object.__setattr__(self, "rotations", tuple(views[pos] for pos in sorted(views)))
 
     def __call__(self, x: np.ndarray) -> float:
         return self.evaluate(x)
@@ -308,25 +282,27 @@ class BenchmarkFunction:
     def terms(self, x: np.ndarray, known: tuple | None = None) -> np.ndarray:
         """The weighted term of every group at ``x``, in group order.
 
-        Without ``known`` each block of equal-shape groups is evaluated in
-        one stacked pass. ``known = (terms, groups)`` holds the terms of a
-        point that agrees with ``x`` outside the group positions ``groups``
-        (see ``groups_of``): those terms are kept and only the listed groups
-        are recomputed, each as a one-group slice of its block."""
+        ``known = (terms, groups)`` holds the terms of a point that agrees
+        with ``x`` outside the group positions ``groups`` (see
+        ``groups_of``, each an integer, not a ``bool``, in 0..k-1 for k
+        groups): those terms are kept and only the listed groups are
+        recomputed, by the same per-group call as without ``known``."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
+        k = len(self._terms)
         if known is None:
-            out = np.empty(len(self.bases))
-            for block in self._blocks:
-                out[block.pos] = block.terms(x)
-            return out
-        kept, groups = known
-        if np.shape(kept) != (len(self.bases),):
-            raise ValueError(f"expected {len(self.bases)} known terms, got shape {np.shape(kept)}")
-        out = np.array(kept, dtype=float)
+            out, groups = np.empty(k), range(k)
+        else:
+            kept, groups = known
+            if np.shape(kept) != (k,):
+                raise ValueError(f"expected {k} known terms, got shape {np.shape(kept)}")
+            for pos in groups:
+                if type(pos) is bool or not isinstance(pos, (int, np.integer)) or not 0 <= pos < k:
+                    raise ValueError(f"group position {pos!r} is not an integer in 0..{k - 1}")
+            out = np.array(kept, dtype=float)
         for pos in groups:
-            out[pos] = self._single[pos].terms(x)[0]
+            out[pos] = self._terms[pos].term(x)
         return out
 
     def groups_of(self, indices) -> tuple[int, ...]:

@@ -7,12 +7,12 @@ The context carries its own group terms (``ContextState.terms``), and the
 run keeps, per sub-problem, the positions of the groups its variables fall
 in. A charged row differs from the context only inside those groups, so
 ``evaluate_rows`` passes the context's terms to
-``BenchmarkFunction.evaluate``, which recomputes only those groups and
-returns the value a full evaluation gives, bit for bit (the ``benchmarks``
-docstring says why); ``adopt`` refreshes the terms the same way, uncharged.
-The terms belong to the benchmark, which stands in for the expensive
-model: the optimizers never see them, and every row is still charged one
-evaluation."""
+``BenchmarkFunction.evaluate``, which recomputes only those groups, each by
+the call a full evaluation makes for it, and so returns the value a full
+evaluation gives, bit for bit; ``adopt`` refreshes the terms the same way,
+uncharged. The terms belong to the benchmark, which stands in for the
+expensive model: the optimizers never see them, and every row is still
+charged one evaluation."""
 
 from __future__ import annotations
 

@@ -307,7 +307,7 @@ def _reference_terms(fn, x):
 
 
 @pytest.mark.parametrize("dim", [40, 1000])
-def test_stacked_evaluation_is_bit_identical_to_per_group_formula(dim):
+def test_evaluation_is_bit_identical_to_per_group_formula(dim):
     rng = np.random.default_rng(dim)
     functions = [get_function(fid, dim, seed=1) for fid in FUNCTION_IDS]
     if dim == 40:
@@ -321,6 +321,14 @@ def test_stacked_evaluation_is_bit_identical_to_per_group_formula(dim):
             assert type(value) is float
             assert value == sum(terms), fn.fid
             assert fn.terms(x).tolist() == terms, fn.fid
+        # the partial path, one recomputed group at a time, against the
+        # same oracle
+        x = points[0]
+        kept = fn.terms(x)
+        for pos, grp in enumerate(fn.structure.groups):
+            y = x.copy()
+            y[list(grp)] = rng.uniform(fn.lower[list(grp)], fn.upper[list(grp)])
+            assert fn.terms(y, (kept, (pos,))).tolist() == _reference_terms(fn, y), (fn.fid, pos)
 
 
 @pytest.mark.parametrize("name", sorted(BASES))
@@ -374,7 +382,6 @@ def test_groups_of_lists_sorted_owner_positions():
         assert fn.groups_of(np.arange(fn.n)) == tuple(range(len(groups)))
 
 
-
 @pytest.mark.parametrize("bad", [-1, 40, 1.7, True, np.True_, np.float64(3.0)])
 def test_groups_of_rejects_entries_that_are_not_variable_indices(bad):
     # a negative entry would wrap to the owner of variable 39, a float or
@@ -386,6 +393,22 @@ def test_groups_of_rejects_entries_that_are_not_variable_indices(bad):
     with pytest.raises(ValueError, match="variable index"):
         fn.groups_of(np.array([bad]))
     assert fn.groups_of([0, np.int64(39)]) == fn.groups_of(np.array([0, 39]))
+
+
+@pytest.mark.parametrize("bad", [-1, True, 11, 1.5])
+def test_known_terms_reject_positions_that_are_not_group_positions(bad):
+    # -1 would recompute the last group and True group 1; 11 and 1.5 would
+    # fail on indexing with an error that names no position
+    fn = get_function("f09", 40, seed=1)  # eleven groups
+    x = fn.shift.copy()
+    kept = fn.terms(x)
+    message = re.escape(f"group position {bad!r} is not an integer in 0..10")
+    with pytest.raises(ValueError, match=message):
+        fn.terms(x, (kept, (0, bad)))
+    with pytest.raises(ValueError, match=message):
+        fn.evaluate(x, known=(kept, (bad,)))
+    assert fn.terms(x, (kept, (np.int64(10),))).tolist() == kept.tolist()
+
 
 @pytest.mark.parametrize("dim", [40, 1000])
 def test_known_terms_recompute_only_the_listed_groups(dim):
