@@ -32,11 +32,12 @@ values the per-group term gives. Every reduction is taken per row:
 
 - each dot product is a stacked ``np.matmul`` of ``(..., 1, m)`` slices,
   which makes one BLAS dot per row (a ``(b, m) @ coef`` gemv or an
-  ``einsum`` would sum in another order);
+  ``einsum`` would sum in another order); a 1-D dot is ``np.dot``, the
+  same BLAS dot;
 - sums run along the last axis;
 - ``ackley`` keeps libm's ``math.exp``, one value at a time, so a row's
   value is the scalar formula's (``np.exp`` differs from it in the last
-  ulp on some inputs).
+  ulp on some inputs); on a scalar it calls ``math.exp`` directly.
 """
 
 from __future__ import annotations
@@ -65,12 +66,17 @@ BASE_BOUNDS = {
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product over the last axis, one BLAS dot per row."""
+    """Dot product over the last axis, one BLAS dot per row: ``np.dot``
+    for a 1-D ``a``, a stacked ``np.matmul`` otherwise."""
+    if a.ndim == 1:
+        return np.dot(a, b)
     return np.matmul(a[..., None, :], b[..., None])[..., 0, 0]
 
 
-def _libm_exp(a: np.ndarray) -> np.ndarray:
-    """Elementwise ``math.exp``."""
+def _libm_exp(a: np.ndarray) -> np.ndarray | float:
+    """Elementwise ``math.exp``; a 0-d input gives the float itself."""
+    if np.ndim(a) == 0:
+        return math.exp(a)
     return np.array([math.exp(v) for v in np.ravel(a)]).reshape(np.shape(a))
 
 
@@ -277,7 +283,7 @@ class BenchmarkFunction:
         The terms are added one at a time in group order, so the value is
         bit-identical to evaluating and adding the groups one by one (see
         the module docstring), with or without ``known``."""
-        return sum(self.terms(x, known).tolist())
+        return sum(self._values(x, known))
 
     def terms(self, x: np.ndarray, known: tuple | None = None) -> np.ndarray:
         """The weighted term of every group at ``x``, in group order.
@@ -287,22 +293,28 @@ class BenchmarkFunction:
         ``groups_of``, each an integer, not a ``bool``, in 0..k-1 for k
         groups): those terms are kept and only the listed groups are
         recomputed, by the same per-group call as without ``known``."""
+        return np.array(self._values(x, known))
+
+    def _values(self, x: np.ndarray, known: tuple | None) -> list:
+        """``terms(x, known)`` as a list of floats, the one path of both
+        ``terms`` and ``evaluate``: the kept terms are copied as a list, so
+        a partial evaluation copies no array."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
         k = len(self._terms)
         if known is None:
-            out, groups = np.empty(k), range(k)
-        else:
-            kept, groups = known
-            if np.shape(kept) != (k,):
-                raise ValueError(f"expected {k} known terms, got shape {np.shape(kept)}")
-            for pos in groups:
-                if type(pos) is bool or not isinstance(pos, (int, np.integer)) or not 0 <= pos < k:
-                    raise ValueError(f"group position {pos!r} is not an integer in 0..{k - 1}")
-            out = np.array(kept, dtype=float)
+            return [float(term.term(x)) for term in self._terms]
+        kept, groups = known
+        kept = np.asarray(kept, dtype=float)
+        if kept.shape != (k,):
+            raise ValueError(f"expected {k} known terms, got shape {kept.shape}")
         for pos in groups:
-            out[pos] = self._terms[pos].term(x)
+            if type(pos) is bool or not isinstance(pos, (int, np.integer)) or not 0 <= pos < k:
+                raise ValueError(f"group position {pos!r} is not an integer in 0..{k - 1}")
+        out = kept.tolist()
+        for pos in groups:
+            out[pos] = float(self._terms[pos].term(x))
         return out
 
     def groups_of(self, indices) -> tuple[int, ...]:

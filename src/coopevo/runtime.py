@@ -6,13 +6,16 @@ per sub-problem.
 The context carries its own group terms (``ContextState.terms``), and the
 run keeps, per sub-problem, the positions of the groups its variables fall
 in. A charged row differs from the context only inside those groups, so
-``evaluate_rows`` passes the context's terms to
+``evaluate_rows`` writes each row of a batch into one working copy of the
+context, made once per batch, and passes the context's terms to
 ``BenchmarkFunction.evaluate``, which recomputes only those groups, each by
 the call a full evaluation makes for it, and so returns the value a full
 evaluation gives, bit for bit; ``adopt`` refreshes the terms the same way,
 uncharged. The terms belong to the benchmark, which stands in for the
 expensive model: the optimizers never see them, and every row is still
-charged one evaluation."""
+charged one evaluation. Each row is also still one ``fn.evaluate`` call,
+because that is how perfbench's traced run counts charged evaluations
+(see ROADMAP item 1)."""
 
 from __future__ import annotations
 
@@ -227,16 +230,23 @@ class CooperativeRun:
         budget cannot pay for, so the result may be a shorter prefix.
 
         This is the one place that charges the objective after ``x0``: both
-        optimizers score every sub-solution through it. Each row is one
-        ``fn.evaluate`` call that reuses the context's terms and recomputes
-        only the groups ``sub`` touches, which is bit-identical to
-        ``fn(embed(context.x, sub, row))``."""
+        optimizers score every sub-solution through it. ``rows`` must be 2-D
+        with ``sub.s`` columns. Each row is written into one working copy of
+        the context, made once per batch, and scored by one ``fn.evaluate``
+        call that reuses the context's terms and recomputes only the groups
+        ``sub`` touches, which is bit-identical to
+        ``fn(embed(context.x, sub, row))``. One call per row is also how
+        perfbench's traced run counts charged evaluations."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != sub.s:
+            raise ValueError(f"expected rows of length {sub.s}, got shape {rows.shape}")
         known = (self.context.terms, self.touched[sub.sid])
-        n = self.budget.max_fe - self.budget.used
+        x, idx = self.context.x.copy(), sub.indices
         f = []
-        for x in rows[:n]:
+        for row in rows[: self.budget.max_fe - self.budget.used]:
+            x[idx] = row
             self.budget.spend()
-            f.append(self.fn.evaluate(embed(self.context.x, sub, x), known=known))
+            f.append(self.fn.evaluate(x, known=known))
         return np.array(f, dtype=float)
 
     def adopt(self, sub: SubProblem, x_g: np.ndarray, f: float):

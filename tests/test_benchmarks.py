@@ -19,6 +19,7 @@ from coopevo.benchmarks import (
     make_suite,
     suite_manifest,
 )
+from coopevo.benchmarks import _dot
 
 
 def small_suite():
@@ -348,6 +349,16 @@ def test_every_base_is_row_stable(name):
                 assert np.shape(single) == ()
                 assert single == base(Z[i][None])[0]
             assert float(base(Z[0])) == REFERENCE_BASES[name](Z[0])
+
+
+def test_one_dim_dot_equals_the_stacked_row():
+    # a 1-D dot is np.dot, the same BLAS dot the stacked matmul makes per row
+    rng = np.random.default_rng(0)
+    for m in range(1, 201):
+        a = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.uniform(-6.0, 6.0, m)
+        b = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.uniform(-6.0, 6.0, m)
+        assert _dot(a, b) == _dot(a[None], b)[0], m
+        assert _dot(a, a) == _dot(a[None], a[None])[0], m
 
 
 def test_evaluate_rejects_wrong_length():

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from coopevo.benchmarks import FUNCTION_IDS, get_function
+from coopevo.benchmarks import FUNCTION_IDS, BenchmarkFunction, get_function
 from coopevo.decomposition import embed, ideal_decompose
 from coopevo.runtime import CooperativeRun, RunParams
 
@@ -66,3 +68,52 @@ def test_evaluate_rows_stops_at_the_budget():
     assert values.tolist() == [fn(embed(run.context.x, sub, r)) for r in rows[:3]]
     assert run.budget.exhausted
     assert run.evaluate_rows(sub, rows).size == 0
+
+
+def small_run(max_fe=10**6):
+    fn = get_function("f09", 40, 1)  # a separable block and ten rotated groups
+    decomp = ideal_decompose(fn.structure, 7, fn.lower, fn.upper)
+    return CooperativeRun(fn, decomp, RunParams(max_fe=max_fe), seed=1)
+
+
+def test_evaluate_rows_leaves_the_context_untouched():
+    run = small_run()
+    x, terms = run.context.x.copy(), run.context.terms.copy()
+    rng = np.random.default_rng(0)
+    for sub in run.decomposition.subproblems:
+        run.evaluate_rows(sub, rng.uniform(sub.lower, sub.upper, (3, sub.s)))
+        assert run.context.x.tolist() == x.tolist()
+        assert run.context.terms.tolist() == terms.tolist()
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 6), (2, 8), (0,), (1, 1, 7)])
+def test_evaluate_rows_rejects_rows_of_the_wrong_shape(shape):
+    run = small_run()
+    sub = run.decomposition.subproblems[0]
+    assert sub.s == 7
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        run.evaluate_rows(sub, np.zeros(shape))
+    assert run.budget.used == 1
+
+
+@pytest.mark.parametrize("b, max_fe", [(1, 10**6), (2, 10**6), (100, 10**6), (100, 40)])
+def test_evaluate_rows_makes_one_evaluate_call_with_known_terms_per_row(b, max_fe, monkeypatch):
+    # perfbench's traced run counts charged evaluations as evaluate calls
+    run = small_run(max_fe)
+    calls = []
+    evaluate = BenchmarkFunction.evaluate
+
+    def counted(self, x, known=None):
+        calls.append(known)
+        return evaluate(self, x, known=known)
+
+    monkeypatch.setattr(BenchmarkFunction, "evaluate", counted)
+    sub = run.decomposition.subproblems[2]
+    rows = np.random.default_rng(b).uniform(sub.lower, sub.upper, (b, sub.s))
+    values = run.evaluate_rows(sub, rows)
+    charged = min(b, max_fe - 1)
+    assert values.size == charged
+    assert run.budget.used == 1 + charged
+    assert len(calls) == charged
+    assert all(known is not None for known in calls)
+    assert all(known[0] is run.context.terms and known[1] == run.touched[2] for known in calls)
