@@ -8,21 +8,19 @@ ground truth instead of having to learn it.
 import numpy as np
 
 from coopevo import make_suite
-from coopevo.benchmarks import NONSEPARABLE, suite_manifest
+from coopevo.benchmarks import suite_manifest
 
 # a desk-scale suite: 100 dimensions, rotated blocks of 100/20 = 5 variables
 suite = make_suite(dim=100, seed=1)
 
 print(f"{'id':>4} {'bases':<24} {'separable':>9} {'rotated blocks':>14}")
 for fn in suite:
-    sizes = [
-        len(g)
-        for g, k in zip(fn.structure.groups, fn.structure.group_kind)
-        if k == NONSEPARABLE
-    ]
+    # each group holds its indices, base, weight and, if rotated, its rotation
+    sizes = [len(g.indices) for g in fn.groups if g.rotation is not None]
     n_sep = fn.n - sum(sizes)
     blocks = f"{len(sizes)} x {sizes[0]}" if sizes else "-"
-    print(f"{fn.fid:>4} {'/'.join(sorted(set(fn.bases))):<24} {n_sep:>9} {blocks:>14}")
+    bases = "/".join(sorted({g.base for g in fn.groups}))
+    print(f"{fn.fid:>4} {bases:<24} {n_sep:>9} {blocks:>14}")
 
 # every function is exactly zero at its shift vector, the hidden optimum
 fn = suite[3]

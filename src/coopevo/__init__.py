@@ -15,6 +15,7 @@ __version__ = "0.1.0"
 from .benchmarks import (
     BASES,
     BenchmarkFunction,
+    Group,
     SeparabilityStructure,
     build_function,
     get_function,
@@ -63,6 +64,7 @@ __all__ = [
     "Decomposition",
     "ExperimentConfig",
     "FeBudget",
+    "Group",
     "ParameterMemory",
     "RbfModel",
     "RunParams",

@@ -8,6 +8,11 @@ Shift vectors and rotation matrices are synthesized from a seed instead of
 being loaded from external data files, which keeps every run reproducible
 from the seed alone.
 
+A function is its table of groups: each ``Group`` holds its variable
+indices, its base, its weight and, if it is nonseparable, its rotation.
+The dimension, the bounds (each group's ``BASE_BOUNDS`` box) and the
+ground-truth ``structure`` are derived from that table.
+
 Each group's weighted term is computed by one call, ``_Term.term``: the
 group's base applied to its shifted (and, if rotated, ``rot @ z``)
 coordinates, times its weight. ``BenchmarkFunction.terms`` calls it for
@@ -46,7 +51,7 @@ import functools
 import json
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -215,61 +220,85 @@ class _Term(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
+class Group:
+    """One group of a benchmark function: its variable indices, the name of
+    its base function, its weight and, for a nonseparable group, its
+    rotation. ``rotation is None`` means the group is separable."""
+
+    indices: tuple[int, ...]
+    base: str
+    weight: float = 1.0
+    rotation: np.ndarray | None = None
+
+
+def _box(groups) -> tuple[np.ndarray, np.ndarray]:
+    """Each variable's bounds: the ``BASE_BOUNDS`` box of its group's base."""
+    n = sum(len(g.indices) for g in groups)
+    lower, upper = np.empty(n), np.empty(n)
+    for g in groups:
+        if g.base not in BASES:
+            raise ValueError(f"unknown base {g.base!r}")
+        idx = list(g.indices)
+        lower[idx], upper[idx] = BASE_BOUNDS[g.base]
+    return lower, upper
+
+
+def _check_indices(values, stop: int, what: str) -> None:
+    """Raise unless every entry of ``values`` is an integer (``bool`` is not
+    one) in 0..stop-1."""
+    for i in values:
+        if type(i) is bool or not isinstance(i, (int, np.integer)) or not 0 <= i < stop:
+            raise ValueError(f"{what} {i!r} is not an integer in 0..{stop - 1}")
+
+
+@dataclass(frozen=True, eq=False)
 class BenchmarkFunction:
     """A fixed, immutable test function f(x) = sum of per-group terms.
 
     Each group applies its base function to shifted (and, for nonseparable
     groups, rotated) coordinates, scaled by a per-group weight. Evaluation
-    is pure: the same x always yields the same value.
+    is pure: the same x always yields the same value. The dimension ``n``,
+    the bounds and the ``structure`` are derived from ``groups``.
     """
 
     fid: str
-    n: int
-    lower: np.ndarray
-    upper: np.ndarray
     shift: np.ndarray
-    rotations: tuple[np.ndarray, ...]
-    structure: SeparabilityStructure
-    bases: tuple[str, ...]
-    weights: tuple[float, ...]
+    groups: tuple[Group, ...]
     seed: int
+    n: int = field(init=False)
+    lower: np.ndarray = field(init=False)
+    upper: np.ndarray = field(init=False)
+    structure: SeparabilityStructure = field(init=False)
 
     def __post_init__(self):
-        if self.structure.n != self.n:
-            raise ValueError("structure does not cover dimension n")
-        if len(self.bases) != len(self.structure.groups):
-            raise ValueError("one base per group required")
-        if len(self.weights) != len(self.structure.groups):
-            raise ValueError("one weight per group required")
-        if self.lower.shape != (self.n,) or self.upper.shape != (self.n,):
-            raise ValueError("bounds must have shape (n,)")
-        if np.shape(self.shift) != (self.n,):
+        structure = SeparabilityStructure(
+            tuple(tuple(g.indices) for g in self.groups),
+            tuple(SEPARABLE if g.rotation is None else NONSEPARABLE for g in self.groups),
+        )
+        n = structure.n
+        if np.shape(self.shift) != (n,):
             raise ValueError("shift must have shape (n,)")
-        if not (np.all(self.shift > self.lower) and np.all(self.shift < self.upper)):
+        lower, upper = _box(self.groups)
+        if not (np.all(self.shift > lower) and np.all(self.shift < upper)):
             raise ValueError("shift must lie strictly inside bounds")
-        n_rotated = self.structure.group_kind.count(NONSEPARABLE)
-        if len(self.rotations) != n_rotated:
-            raise ValueError(f"{len(self.rotations)} rotations for {n_rotated} nonseparable groups")
-        rotations = iter(self.rotations)
         terms = []
-        owner = np.empty(self.n, dtype=int)
-        for pos, (grp, kind, base, weight) in enumerate(zip(
-            self.structure.groups, self.structure.group_kind, self.bases, self.weights
-        )):
-            if base not in BASES:
-                raise ValueError(f"unknown base {base!r}")
-            rot = None
-            if kind == NONSEPARABLE:
-                rot = next(rotations)
-                m = len(grp)
+        owner = np.empty(n, dtype=int)
+        for pos, g in enumerate(self.groups):
+            rot = g.rotation
+            if rot is not None:
+                m = len(g.indices)
                 if np.shape(rot) != (m, m):
                     raise ValueError("rotation shape does not match group size")
                 err = np.max(np.abs(rot.T @ rot - np.eye(m)))
                 if err > 1e-10:
                     raise ValueError(f"rotation not orthogonal (err={err:.2e})")
-            idx = np.array(grp, dtype=int)
-            terms.append(_Term(idx, self.shift[idx], rot, BASES[base], float(weight)))
+            idx = np.array(g.indices, dtype=int)
+            terms.append(_Term(idx, self.shift[idx], rot, BASES[g.base], float(g.weight)))
             owner[idx] = pos
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "_terms", tuple(terms))
         # the position of the group that owns each variable
         object.__setattr__(self, "_owner", owner)
@@ -309,9 +338,7 @@ class BenchmarkFunction:
         kept = np.asarray(kept, dtype=float)
         if kept.shape != (k,):
             raise ValueError(f"expected {k} known terms, got shape {kept.shape}")
-        for pos in groups:
-            if type(pos) is bool or not isinstance(pos, (int, np.integer)) or not 0 <= pos < k:
-                raise ValueError(f"group position {pos!r} is not an integer in 0..{k - 1}")
+        _check_indices(groups, k, "group position")
         out = kept.tolist()
         for pos in groups:
             out[pos] = float(self._terms[pos].term(x))
@@ -321,9 +348,7 @@ class BenchmarkFunction:
         """Sorted positions of the groups that own any of ``indices``, each
         an integer (``bool`` is not one) in 0..n-1."""
         indices = indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
-        for i in indices:
-            if type(i) is bool or not isinstance(i, (int, np.integer)) or not 0 <= i < self.n:
-                raise ValueError(f"variable index {i!r} is not an integer in 0..{self.n - 1}")
+        _check_indices(indices, self.n, "variable index")
         return tuple(np.unique(self._owner[np.asarray(indices, dtype=int)]).tolist())
 
     def manifest(self) -> dict:
@@ -335,17 +360,12 @@ class BenchmarkFunction:
             "groups": [
                 {
                     "kind": kind,
-                    "base": base,
-                    "weight": weight,
-                    "size": len(grp),
-                    "indices": list(map(int, grp)),
+                    "base": g.base,
+                    "weight": g.weight,
+                    "size": len(g.indices),
+                    "indices": list(map(int, g.indices)),
                 }
-                for grp, kind, base, weight in zip(
-                    self.structure.groups,
-                    self.structure.group_kind,
-                    self.bases,
-                    self.weights,
-                )
+                for g, kind in zip(self.groups, self.structure.group_kind)
             ],
             "bounds": {
                 "lower": self.lower.tolist(),
@@ -412,55 +432,21 @@ def build_function(
         raise ValueError("nonseparable base required")
     if n_groups * group_size < dim and sep_base is None:
         raise ValueError("separable base required")
-    for base in (sep_base, nonsep_base):
-        if base is not None and base not in BASES:
-            raise ValueError(f"unknown base {base!r}")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(fid.encode())]))
     perm = rng.permutation(dim)
 
-    groups: list[tuple[int, ...]] = []
-    kinds: list[str] = []
-    bases: list[str] = []
-    weights: list[float] = []
-    rotations: list[np.ndarray] = []
-
-    lower = np.empty(dim)
-    upper = np.empty(dim)
-
+    groups: list[Group] = []
     sep_idx = np.sort(perm[n_groups * group_size:])
     if sep_idx.size:
-        groups.append(tuple(int(i) for i in sep_idx))
-        kinds.append(SEPARABLE)
-        bases.append(sep_base)
-        weights.append(1.0)
-        lo, hi = BASE_BOUNDS[sep_base]
-        lower[sep_idx] = lo
-        upper[sep_idx] = hi
+        groups.append(Group(tuple(int(i) for i in sep_idx), sep_base))
     for k in range(n_groups):
         idx = perm[k * group_size:(k + 1) * group_size]
-        groups.append(tuple(int(i) for i in idx))
-        kinds.append(NONSEPARABLE)
-        bases.append(nonsep_base)
-        weights.append(group_weight)
-        rotations.append(_synth_rotation(rng, group_size))
-        lo, hi = BASE_BOUNDS[nonsep_base]
-        lower[idx] = lo
-        upper[idx] = hi
+        groups.append(Group(tuple(int(i) for i in idx), nonsep_base, group_weight,
+                            _synth_rotation(rng, group_size)))
 
-    shift = _synth_shift(rng, lower, upper)
-    fn = BenchmarkFunction(
-        fid=fid,
-        n=dim,
-        lower=lower,
-        upper=upper,
-        shift=shift,
-        rotations=tuple(rotations),
-        structure=SeparabilityStructure(tuple(groups), tuple(kinds)),
-        bases=tuple(bases),
-        weights=tuple(weights),
-        seed=seed,
-    )
+    shift = _synth_shift(rng, *_box(groups))
+    fn = BenchmarkFunction(fid, shift, tuple(groups), seed)
     opt = fn(shift)
     if abs(opt) > 1e-9:
         raise AssertionError(f"{fid}: f(shift) = {opt!r}, expected 0")

@@ -181,6 +181,13 @@ class TrainingArchive:
         self._values[: self._n] -= delta
 
 
+def _unit_box(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``x`` scaled to the unit box. Training and prediction both scale
+    through here, so an input equal to a training sample scales to its
+    center bit for bit and ``predict_batch`` can reuse its kernel row."""
+    return (x - lower) / (upper - lower)
+
+
 @dataclass
 class RbfModel:
     """Trained surrogate; ``centers`` are the training samples in unit-box
@@ -197,9 +204,6 @@ class RbfModel:
     kernel: np.ndarray        # (d, d) ||c_i - c_j||^3, without the ridge
     regularized: bool = False
 
-    def _scale(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.lower) / (self.upper - self.lower)
-
     @staticmethod
     def _row_keys(z: np.ndarray) -> list[bytes]:
         # the raw bytes of each row: equal keys mean bit-equal coordinates
@@ -214,7 +218,7 @@ class RbfModel:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.lower.size:
             raise ValueError("dimension mismatch")
-        z = self._scale(xs)
+        z = _unit_box(xs, self.lower, self.upper)
         # an input that is a center has that center's kernel row as its row
         # of cdist(z, centers) ** 3, bit for bit
         found = np.array([self._center_row.get(key, -1) for key in self._row_keys(z)],
@@ -248,8 +252,7 @@ def train_surrogate(archive: TrainingArchive) -> RbfModel:
     if d < s + 1:
         raise TrainingError(f"need at least s+1={s + 1} samples, have {d}")
 
-    span = archive.upper - archive.lower
-    centers = (archive.points - archive.lower) / span
+    centers = _unit_box(archive.points, archive.lower, archive.upper)
     labels = archive.values.copy()
 
     phi = squareform(pdist(centers) ** 3)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -12,6 +13,7 @@ from coopevo.benchmarks import (
     NONSEPARABLE,
     SEPARABLE,
     BenchmarkFunction,
+    Group,
     SeparabilityStructure,
     build_function,
     get_function,
@@ -29,32 +31,14 @@ def small_suite():
 def test_elliptic_two_dim_hand_value():
     # coefficients 10^(6*i/(s-1)): x = (1, 1) with zero shift -> 1 + 1e6
     fn = BenchmarkFunction(
-        fid="elliptic-2d",
-        n=2,
-        lower=np.array([-100.0, -100.0]),
-        upper=np.array([100.0, 100.0]),
-        shift=np.zeros(2),
-        rotations=(),
-        structure=SeparabilityStructure(((0, 1),), (SEPARABLE,)),
-        bases=("elliptic",),
-        weights=(1.0,),
-        seed=0,
+        fid="elliptic-2d", shift=np.zeros(2), groups=(Group((0, 1), "elliptic"),), seed=0
     )
     assert fn(np.array([1.0, 1.0])) == pytest.approx(1.0 + 1e6, abs=1e-9)
 
 
 def test_ackley_optimum_at_origin():
     fn = BenchmarkFunction(
-        fid="ackley-3d",
-        n=3,
-        lower=np.full(3, -32.0),
-        upper=np.full(3, 32.0),
-        shift=np.zeros(3),
-        rotations=(),
-        structure=SeparabilityStructure(((0, 1, 2),), (SEPARABLE,)),
-        bases=("ackley",),
-        weights=(1.0,),
-        seed=0,
+        fid="ackley-3d", shift=np.zeros(3), groups=(Group((0, 1, 2), "ackley"),), seed=0
     )
     assert abs(fn(np.zeros(3))) <= 1e-9
 
@@ -80,7 +64,7 @@ def test_shift_strictly_inside_bounds():
 
 def test_rotations_orthogonal():
     for fn in small_suite():
-        for rot in fn.rotations:
+        for rot in (g.rotation for g in fn.groups if g.rotation is not None):
             err = np.max(np.abs(rot.T @ rot - np.eye(rot.shape[0])))
             assert err <= 1e-10
 
@@ -129,17 +113,14 @@ def test_terms_against_straight_line_oracle():
     suite = small_suite()
     for fn, loop in ((suite[0], _loop_elliptic), (suite[9], _loop_rastrigin)):
         x = rng.uniform(fn.lower, fn.upper)
-        rotations = list(fn.rotations)  # the k-th rotation belongs to the k-th rotated group
         terms = fn.terms(x)
-        for g, (grp, kind) in enumerate(zip(fn.structure.groups, fn.structure.group_kind)):
-            idx = np.asarray(grp)
+        for group, got in zip(fn.groups, terms):
+            idx = np.asarray(group.indices)
             z = x[idx] - fn.shift[idx]
-            if kind == NONSEPARABLE:
-                z = rotations.pop(0) @ z
-            expect = fn.weights[g] * loop(z)
-            got = terms[g]
+            if group.rotation is not None:
+                z = group.rotation @ z
+            expect = group.weight * loop(z)
             assert abs(got - expect) <= 1e-9 * max(1.0, abs(expect))
-        assert rotations == []
 
 
 def test_make_suite_structure_counts_at_reference_scale():
@@ -178,8 +159,8 @@ def test_make_suite_deterministic_per_seed():
     c = make_suite(40, seed=4)
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.shift, fb.shift)
-        for ra, rb in zip(fa.rotations, fb.rotations):
-            assert np.array_equal(ra, rb)
+        for ga, gb in zip(fa.groups, fb.groups):
+            assert np.array_equal(ga.rotation, gb.rotation)
     assert not np.array_equal(a[0].shift, c[0].shift)
 
 
@@ -192,17 +173,14 @@ def test_make_suite_rejects_bad_dimension():
         get_function("f99", 40, seed=1)
 
 
-def _two_group_kwargs(**override):
+ROT90 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _two_group_kwargs(base="elliptic", rotation=ROT90, **override):
     kw = dict(
         fid="two-group-4d",
-        n=4,
-        lower=np.full(4, -5.0),
-        upper=np.full(4, 5.0),
         shift=np.zeros(4),
-        rotations=(np.array([[0.0, 1.0], [-1.0, 0.0]]),),
-        structure=SeparabilityStructure(((0, 1), (2, 3)), (SEPARABLE, NONSEPARABLE)),
-        bases=("sphere", "elliptic"),
-        weights=(1.0, 2.0),
+        groups=(Group((0, 1), "sphere"), Group((2, 3), base, 2.0, rotation)),
         seed=0,
     )
     kw.update(override)
@@ -212,20 +190,17 @@ def _two_group_kwargs(**override):
 @pytest.mark.parametrize(
     "override, message",
     [
-        (dict(bases=("sphere", "nope")), "unknown base 'nope'"),
-        (dict(rotations=()), "0 rotations for 1 nonseparable groups"),
-        (dict(rotations=(np.eye(2), np.eye(2))), "2 rotations for 1 nonseparable groups"),
-        (dict(rotations=(np.eye(3),)), "rotation shape"),
-        (dict(rotations=(None,)), "rotation shape"),
-        (dict(rotations=(2.0 * np.eye(2),)), "not orthogonal"),
-        (dict(bases=("sphere",)), "one base per group"),
-        (dict(weights=(1.0, 2.0, 3.0)), "one weight per group"),
+        (dict(base="nope"), "unknown base 'nope'"),
+        (dict(rotation=np.eye(3)), "rotation shape"),
+        (dict(rotation=2.0 * np.eye(2)), "not orthogonal"),
         (dict(shift=np.zeros(1)), r"shift must have shape \(n,\)"),
         (dict(shift=np.zeros((4, 4))), r"shift must have shape \(n,\)"),
+        (dict(shift=np.full(4, 100.0)), "shift must lie strictly inside bounds"),
+        (dict(groups=(Group((0, 1), "sphere"), Group((3, 4), "sphere"))),
+         "groups do not cover"),
     ],
-    ids=["unknown-base", "missing-rotation", "surplus-rotation", "rotation-shape",
-         "rotation-none", "non-orthogonal", "base-count", "weight-count",
-         "shift-too-short", "shift-matrix"],
+    ids=["unknown-base", "rotation-shape", "non-orthogonal", "shift-too-short",
+         "shift-matrix", "shift-on-bound", "groups-not-a-partition"],
 )
 def test_constructor_rejects_inconsistent_definition(override, message):
     fn = BenchmarkFunction(**_two_group_kwargs())
@@ -294,16 +269,13 @@ REFERENCE_BASES = {
 
 
 def _reference_terms(fn, x):
-    rotations = iter(fn.rotations)
     terms = []
-    for grp, kind, base, weight in zip(
-        fn.structure.groups, fn.structure.group_kind, fn.bases, fn.weights
-    ):
-        idx = np.asarray(grp, dtype=int)
+    for group in fn.groups:
+        idx = np.asarray(group.indices, dtype=int)
         z = x[idx] - fn.shift[idx]
-        if kind == NONSEPARABLE:
-            z = next(rotations) @ z
-        terms.append(weight * REFERENCE_BASES[base](z))
+        if group.rotation is not None:
+            z = group.rotation @ z
+        terms.append(group.weight * REFERENCE_BASES[group.base](z))
     return terms
 
 
@@ -457,7 +429,7 @@ def test_weighted_single_group_functions():
     g = next(
         i for i, k in enumerate(fn.structure.group_kind) if k == NONSEPARABLE
     )
-    assert fn.weights[g] == 1e6
+    assert fn.groups[g].weight == 1e6
     x = np.random.default_rng(5).uniform(fn.lower, fn.upper)
     assert fn.terms(x)[g] > 0
 
@@ -492,3 +464,18 @@ def test_suite_manifest_is_valid_json():
     sizes = sorted(g["size"] for g in entry["groups"])
     assert sizes == [2, 38]
     assert entry["seed"] == 1
+
+
+@pytest.mark.parametrize(
+    "dim, digest",
+    [
+        (40, "a8dfd7b2653ca7ae787a3d6ff1c3e48afabad85fd9954661d13da54664cd2a39"),
+        (1000, "1c987da557e7c1ff38e1752cf326dd4569c05d240412af87532896a0ac91633d"),
+    ],
+    ids=["40", "1000"],
+)
+def test_suite_definition_is_pinned(dim, digest):
+    # the groups, kinds, bases, weights and bounds of all 18 functions; the
+    # manifest holds no LAPACK output, so the digest is the same everywhere
+    manifest = suite_manifest(make_suite(dim, seed=1))
+    assert hashlib.sha256(manifest.encode()).hexdigest() == digest

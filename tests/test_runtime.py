@@ -12,14 +12,20 @@ BATCH_SIZES = (1, 2, 100)
 
 def check_rows(run, sub, rng):
     """Score fresh rows of every batch size through ``evaluate_rows`` and
-    compare each value bit for bit with a full evaluation of the embedded
-    point. Returns the last batch and its values."""
+    compare each value bit for bit with an evaluation of the embedded point:
+    a full one for the first row of each batch, and for the others one from
+    the context's terms as the full path computes them (not the run's kept
+    terms), which ``test_benchmarks`` checks against the per-group formula.
+    Returns the last batch and its values."""
+    fn, x = run.fn, run.context.x
+    known = (fn.terms(x), fn.groups_of(sub.indices))
     for b in BATCH_SIZES:
         rows = rng.uniform(sub.lower, sub.upper, (b, sub.s))
         used = run.budget.used
         got = run.evaluate_rows(sub, rows)
-        want = [run.fn(embed(run.context.x, sub, r)) for r in rows]
-        assert got.tolist() == want, (run.fn.fid, sub.sid, b)
+        want = [fn(embed(x, sub, rows[0]))]
+        want += [fn.evaluate(embed(x, sub, r), known=known) for r in rows[1:]]
+        assert got.tolist() == want, (fn.fid, sub.sid, b)
         assert run.budget.used == used + b
     return rows, got
 
