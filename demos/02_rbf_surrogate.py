@@ -10,7 +10,7 @@ import numpy as np
 from coopevo import TrainingArchive, embed, ideal_decompose, make_separable, train_surrogate
 
 fn = make_separable("rastrigin", 20, seed=7)
-decomp = ideal_decompose(fn.structure, 5, fn.lower, fn.upper)
+decomp = ideal_decompose(fn, 5)
 sub = decomp.subproblems[0]
 
 # pretend this random solution is the current context vector

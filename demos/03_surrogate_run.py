@@ -8,7 +8,7 @@ the simulation model, everything else is filtered by the models.
 from coopevo import RunParams, SurrogateCC, ideal_decompose, make_separable
 
 fn = make_separable("elliptic", 60, seed=3)
-decomp = ideal_decompose(fn.structure, 20, fn.lower, fn.upper)
+decomp = ideal_decompose(fn, 20)
 print(f"problem: 60-d separable quadratic, split into {decomp.k} blocks of 20")
 
 params = RunParams(max_fe=10_000, p=100, q=10, d_factor=5)

@@ -16,7 +16,6 @@ from .benchmarks import (
     BASES,
     BenchmarkFunction,
     Group,
-    SeparabilityStructure,
     build_function,
     get_function,
     make_separable,
@@ -69,7 +68,6 @@ __all__ = [
     "RbfModel",
     "RunParams",
     "RunRecord",
-    "SeparabilityStructure",
     "ShadeCC",
     "SubProblem",
     "SummaryRow",

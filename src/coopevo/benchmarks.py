@@ -10,8 +10,9 @@ from the seed alone.
 
 A function is its table of groups: each ``Group`` holds its variable
 indices, its base, its weight and, if it is nonseparable, its rotation.
-The dimension, the bounds (each group's ``BASE_BOUNDS`` box) and the
-ground-truth ``structure`` are derived from that table.
+The dimension and the bounds (each group's ``BASE_BOUNDS`` box) are
+derived from that table, and the table is the ground-truth structure that
+``decomposition.ideal_decompose`` reads.
 
 Each group's weighted term is computed by one call, ``_Term.term``: the
 group's base applied to its shifted (and, if rotated, ``rot @ z``)
@@ -56,6 +57,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+# the group kinds ``manifest()`` writes
 SEPARABLE = "separable-singleton-block"
 NONSEPARABLE = "nonseparable-rotated"
 
@@ -165,42 +167,6 @@ def check_partition(groups, n: int) -> None:
         raise ValueError("groups do not cover 0..n-1")
 
 
-@dataclass(frozen=True)
-class SeparabilityStructure:
-    """Ground-truth variable grouping of a benchmark function.
-
-    ``groups`` partitions the 0-based variable indices; ``group_kind[k]``
-    is SEPARABLE (additive down to single variables) or NONSEPARABLE
-    (the group is rotated and must be treated as one block).
-    """
-
-    groups: tuple[tuple[int, ...], ...]
-    group_kind: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.groups) != len(self.group_kind):
-            raise ValueError("groups and group_kind length mismatch")
-        check_partition(self.groups, self.n)
-        for kind in self.group_kind:
-            if kind not in (SEPARABLE, NONSEPARABLE):
-                raise ValueError(f"unknown group kind {kind!r}")
-
-    @property
-    def n(self) -> int:
-        return sum(len(g) for g in self.groups)
-
-    def separable_indices(self) -> list[int]:
-        """All variables in separable groups, ascending."""
-        out: list[int] = []
-        for grp, kind in zip(self.groups, self.group_kind):
-            if kind == SEPARABLE:
-                out.extend(grp)
-        return sorted(out)
-
-    def nonseparable_groups(self) -> list[tuple[int, ...]]:
-        return [g for g, k in zip(self.groups, self.group_kind) if k == NONSEPARABLE]
-
-
 class _Term(NamedTuple):
     """One group's weighted term."""
 
@@ -257,8 +223,9 @@ class BenchmarkFunction:
 
     Each group applies its base function to shifted (and, for nonseparable
     groups, rotated) coordinates, scaled by a per-group weight. Evaluation
-    is pure: the same x always yields the same value. The dimension ``n``,
-    the bounds and the ``structure`` are derived from ``groups``.
+    is pure: the same x always yields the same value. The dimension ``n``
+    and the bounds are derived from ``groups``, which must partition
+    0..n-1.
     """
 
     fid: str
@@ -268,14 +235,10 @@ class BenchmarkFunction:
     n: int = field(init=False)
     lower: np.ndarray = field(init=False)
     upper: np.ndarray = field(init=False)
-    structure: SeparabilityStructure = field(init=False)
 
     def __post_init__(self):
-        structure = SeparabilityStructure(
-            tuple(tuple(g.indices) for g in self.groups),
-            tuple(SEPARABLE if g.rotation is None else NONSEPARABLE for g in self.groups),
-        )
-        n = structure.n
+        n = sum(len(g.indices) for g in self.groups)
+        check_partition([g.indices for g in self.groups], n)
         if np.shape(self.shift) != (n,):
             raise ValueError("shift must have shape (n,)")
         lower, upper = _box(self.groups)
@@ -298,7 +261,6 @@ class BenchmarkFunction:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "_terms", tuple(terms))
         # the position of the group that owns each variable
         object.__setattr__(self, "_owner", owner)
@@ -359,13 +321,13 @@ class BenchmarkFunction:
             "seed": self.seed,
             "groups": [
                 {
-                    "kind": kind,
+                    "kind": SEPARABLE if g.rotation is None else NONSEPARABLE,
                     "base": g.base,
                     "weight": g.weight,
                     "size": len(g.indices),
                     "indices": list(map(int, g.indices)),
                 }
-                for g, kind in zip(self.groups, self.structure.group_kind)
+                for g in self.groups
             ],
             "bounds": {
                 "lower": self.lower.tolist(),

@@ -1,9 +1,11 @@
 """Static decomposition of a problem into lower-dimensional sub-problems.
 
-Nonseparable variable groups are kept intact; separable variables are
-chunked in ascending index order into blocks of a chosen size. Because the
-grouping comes straight from the benchmark's known structure, the optimum of
-every sub-problem coincides with the projection of the global optimum.
+``ideal_decompose`` reads a benchmark function's group table: rotated
+(nonseparable) groups are kept intact, and the variables of the separable
+groups are chunked in ascending index order into blocks of a chosen size.
+Because the grouping comes straight from the function's known groups, the
+optimum of every sub-problem coincides with the projection of the global
+optimum.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import SeparabilityStructure, check_partition
+from .benchmarks import BenchmarkFunction, check_partition
 
 
 @dataclass(frozen=True)
@@ -59,37 +61,32 @@ class Decomposition:
         }
 
 
-def ideal_decompose(
-    structure: SeparabilityStructure,
-    s_sep: int,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> Decomposition:
-    """Decompose using the known structure.
+def ideal_decompose(fn: BenchmarkFunction, s_sep: int) -> Decomposition:
+    """Decompose ``fn`` by its group table.
 
-    Separable variables are pooled, sorted ascending and cut into chunks of
-    ``s_sep`` (the final chunk may be smaller); each nonseparable group
-    becomes one sub-problem verbatim. Deterministic.
+    The indices of every separable group (``rotation is None``) are pooled,
+    sorted ascending and cut into chunks of ``s_sep`` (the final chunk may
+    be smaller); then each rotated group becomes one sub-problem verbatim,
+    in table order. Bounds come from ``fn.lower`` and ``fn.upper``.
+    Deterministic.
     """
-    if s_sep < 1:
-        raise ValueError("s_sep must be >= 1")
-
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    if type(s_sep) is bool or not isinstance(s_sep, (int, np.integer)) or s_sep < 1:
+        raise ValueError(f"s_sep {s_sep!r} is not an integer >= 1")
 
     subs: list[SubProblem] = []
 
     def add(indices):
         idx = np.asarray(indices, dtype=int)
-        subs.append(SubProblem(len(subs), idx, lower[idx].copy(), upper[idx].copy()))
+        subs.append(SubProblem(len(subs), idx, fn.lower[idx], fn.upper[idx]))
 
-    sep = structure.separable_indices()
+    sep = sorted(i for g in fn.groups if g.rotation is None for i in g.indices)
     for start in range(0, len(sep), s_sep):
         add(sep[start:start + s_sep])
-    for grp in structure.nonseparable_groups():
-        add(grp)
+    for g in fn.groups:
+        if g.rotation is not None:
+            add(g.indices)
 
-    return Decomposition(tuple(subs), structure.n)
+    return Decomposition(tuple(subs), fn.n)
 
 
 def embed(context: np.ndarray, sub: SubProblem, x_g: np.ndarray) -> np.ndarray:

@@ -136,7 +136,7 @@ class SummaryRow:
 
 def build_problem(config: ExperimentConfig, fid: str) -> tuple[BenchmarkFunction, Decomposition]:
     fn = get_function(fid, config.dim, config.suite_seed)
-    decomp = ideal_decompose(fn.structure, config.s_sep, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, config.s_sep)
     return fn, decomp
 
 

@@ -21,7 +21,9 @@ its negated fitness, so larger is better as in the surrogate-assisted
 optimizer. No freshness mask is kept: a stale value is, after its visit's
 harvest, at most the negated context fitness, which only rises, so it never
 wins the strict harvest, and a refresh the budget cuts short (its unpaid
-members read ``-inf``) also ends the generation loop.
+members read ``-inf``) also ends the generation loop. A visit whose refresh
+uses up the budget closes no generation; it adds one trace row after its
+harvest, so the trace always ends at the last charged evaluation.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ class ShadeCC(CooperativeRun):
         st.pop_vals[: refreshed.size] = -refreshed
         self.record.reeval_evals += refreshed.size
 
+        generation = self.generation
         for _ in range(self.params.visit_len):
             if self.budget.exhausted:
                 break
@@ -81,6 +84,9 @@ class ShadeCC(CooperativeRun):
         b = int(np.argmax(st.pop_vals))
         if -st.pop_vals[b] < self.context.f:
             self.adopt(sub, st.pop[b], -float(st.pop_vals[b]))
+        if self.generation == generation:
+            # the refresh used up the budget: trace where the run ends
+            self.add_row(g, self.context.f)
 
     def run(self) -> RunRecord:
         while not self.budget.exhausted:

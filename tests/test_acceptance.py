@@ -77,7 +77,7 @@ def test_criterion_2_success_set_matches_greedy_oracle():
     mismatches = 0
     for trial_seed in range(1, 51):
         fn = make_separable("sphere", 5, seed=trial_seed)
-        decomp = ideal_decompose(fn.structure, 5, fn.lower, fn.upper)
+        decomp = ideal_decompose(fn, 5)
         sub = decomp.subproblems[0]
         params = RunParams(max_fe=60, p=20, q=20, d_factor=5)
         opt = SurrogateCC(fn, decomp, params, seed=trial_seed)
@@ -123,7 +123,7 @@ def test_criterion_3_fe_conservation():
         p = int(rng.choice([8, 16, 24]))
         q = int(rng.integers(1, p + 1))
         fn = make_separable("sphere", dim, int(rng.integers(1, 1000)))
-        decomp = ideal_decompose(fn.structure, s_sep, fn.lower, fn.upper)
+        decomp = ideal_decompose(fn, s_sep)
         probe = RunParams(max_fe=10**9, p=p, q=q, d_factor=5)
         init = initialization_cost(decomp, probe)
         assert init == 1 + sum(max(5 * sub.s, p) for sub in decomp.subproblems)
@@ -148,7 +148,7 @@ def test_criterion_3_fe_conservation():
 
 def test_criterion_4_rebase_consistency_audited_run():
     fn = get_function("f10", 100, seed=1)  # ten rotated groups + separable part
-    decomp = ideal_decompose(fn.structure, 10, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 10)
     params = RunParams(max_fe=initialization_cost(decomp, RunParams(max_fe=10**9)) + 10 * 1000)
     opt = SurrogateCC(fn, decomp, params, seed=3, audit=True)
     record = opt.run()
@@ -250,7 +250,7 @@ def test_criterion_7_baseline_needs_at_least_double_budget(head_to_head):
 
 def test_criterion_6_real_evaluation_share_is_q_over_p():
     fn = make_separable("rastrigin", 20, seed=2)
-    decomp = ideal_decompose(fn.structure, 5, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 5)
     probe = RunParams(max_fe=10**9, p=50, q=5)
     init = initialization_cost(decomp, probe)
     params = RunParams(max_fe=init + 5 * 200, p=50, q=5)

@@ -14,7 +14,6 @@ from coopevo.benchmarks import (
     SEPARABLE,
     BenchmarkFunction,
     Group,
-    SeparabilityStructure,
     build_function,
     get_function,
     make_separable,
@@ -51,8 +50,8 @@ def test_optimum_at_shift_for_all_suite_members():
 def test_terms_zero_at_shift_for_every_group():
     for fn in small_suite():
         terms = fn.terms(fn.shift)
-        assert terms.shape == (len(fn.structure.groups),)
-        for g in range(len(fn.structure.groups)):
+        assert terms.shape == (len(fn.groups),)
+        for g in range(len(fn.groups)):
             assert abs(terms[g]) <= 1e-9
 
 
@@ -81,9 +80,9 @@ def test_terms_independent_of_other_groups():
     rng = np.random.default_rng(11)
     fn = small_suite()[9]  # ten rotated groups plus a separable block
     x = rng.uniform(fn.lower, fn.upper)
-    for g in range(len(fn.structure.groups)):
+    for g in range(len(fn.groups)):
         base_val = fn.terms(x)[g]
-        inside = set(fn.structure.groups[g])
+        inside = set(fn.groups[g].indices)
         y = x.copy()
         for j in range(fn.n):
             if j not in inside:
@@ -127,29 +126,29 @@ def test_make_suite_structure_counts_at_reference_scale():
     suite = make_suite(1000, seed=1)
     assert len(suite) == 18
 
-    def group_sizes(fn, kind):
-        return [len(g) for g, k in zip(fn.structure.groups, fn.structure.group_kind) if k == kind]
+    def group_sizes(fn, rotated):
+        return [len(g.indices) for g in fn.groups if (g.rotation is not None) == rotated]
 
     # fully separable members
     for fn in suite[:3]:
-        assert group_sizes(fn, NONSEPARABLE) == []
-        assert sum(group_sizes(fn, SEPARABLE)) == 1000
+        assert group_sizes(fn, True) == []
+        assert sum(group_sizes(fn, False)) == 1000
     # one rotated block of 50, 950 separable
     fn4 = suite[3]
-    assert group_sizes(fn4, NONSEPARABLE) == [50]
-    assert sum(group_sizes(fn4, SEPARABLE)) == 950
+    assert group_sizes(fn4, True) == [50]
+    assert sum(group_sizes(fn4, False)) == 950
     # ten rotated blocks
-    assert group_sizes(suite[9], NONSEPARABLE) == [50] * 10
+    assert group_sizes(suite[9], True) == [50] * 10
     # twenty rotated blocks, nothing separable
     for fn in suite[13:]:
-        assert group_sizes(fn, NONSEPARABLE) == [50] * 20
-        assert group_sizes(fn, SEPARABLE) == []
+        assert group_sizes(fn, True) == [50] * 20
+        assert group_sizes(fn, False) == []
 
 
 def test_make_suite_scales_group_size_with_dimension():
     suite = make_suite(100, seed=1)
     fn14 = suite[13]
-    sizes = [len(g) for g in fn14.structure.groups]
+    sizes = [len(g.indices) for g in fn14.groups]
     assert sizes == [5] * 20
 
 
@@ -213,15 +212,16 @@ def test_constructor_rejects_inconsistent_definition(override, message):
 def test_structure_rejects_repeated_index_in_one_group():
     # (0, 0, 1) would count x[0] twice and ignore x[2] of a 3-d function
     with pytest.raises(ValueError, match="index 0 repeated in one group"):
-        SeparabilityStructure(((0, 0, 1),), (SEPARABLE,))
+        BenchmarkFunction("repeat-3d", np.zeros(3), (Group((0, 0, 1), "sphere"),), 0)
+    groups = (Group((0, 1), "sphere"), Group((2, 3, 4, 3), "elliptic", 1.0, np.eye(4)))
     with pytest.raises(ValueError, match="index 3 repeated in one group"):
-        SeparabilityStructure(((0, 1), (2, 3, 4, 3)), (SEPARABLE, NONSEPARABLE))
+        BenchmarkFunction("repeat-6d", np.zeros(6), groups, 0)
 
 
 @pytest.mark.parametrize("entry", [1.5, True], ids=["float", "bool"])
 def test_structure_rejects_non_integer_entry(entry):
     with pytest.raises(ValueError, match=f"group entry {entry!r} is not an integer"):
-        SeparabilityStructure(((0, entry),), (SEPARABLE,))
+        BenchmarkFunction("entry-2d", np.zeros(2), (Group((0, entry), "sphere"),), 0)
 
 
 def test_functions_compare_by_identity():
@@ -298,9 +298,10 @@ def test_evaluation_is_bit_identical_to_per_group_formula(dim):
         # same oracle
         x = points[0]
         kept = fn.terms(x)
-        for pos, grp in enumerate(fn.structure.groups):
+        for pos, group in enumerate(fn.groups):
+            grp = list(group.indices)
             y = x.copy()
-            y[list(grp)] = rng.uniform(fn.lower[list(grp)], fn.upper[list(grp)])
+            y[grp] = rng.uniform(fn.lower[grp], fn.upper[grp])
             assert fn.terms(y, (kept, (pos,))).tolist() == _reference_terms(fn, y), (fn.fid, pos)
 
 
@@ -357,7 +358,7 @@ def test_known_terms_reject_wrong_length_like_the_full_path():
 
 def test_groups_of_lists_sorted_owner_positions():
     for fn in small_suite():
-        groups = fn.structure.groups
+        groups = [g.indices for g in fn.groups]
         for pos, grp in enumerate(groups):
             assert fn.groups_of(grp) == (pos,)
         last, first = groups[-1][0], groups[0][-1]
@@ -400,17 +401,19 @@ def test_known_terms_recompute_only_the_listed_groups(dim):
         fn = get_function(fid, dim, seed=1)
         x = rng.uniform(fn.lower, fn.upper)
         kept = fn.terms(x)
-        for pos, grp in enumerate(fn.structure.groups):
+        for pos, group in enumerate(fn.groups):
+            grp = list(group.indices)
             y = x.copy()
-            y[list(grp)] = rng.uniform(fn.lower[list(grp)], fn.upper[list(grp)])
+            y[grp] = rng.uniform(fn.lower[grp], fn.upper[grp])
             known = (kept, (pos,))
             assert fn.terms(y, known).tolist() == fn.terms(y).tolist(), fid
             assert fn.evaluate(y, known=known) == fn(y), fid
         if len(kept) > 1:
             # a change that spans the first and the last group
             y = x.copy()
-            for grp in (fn.structure.groups[0], fn.structure.groups[-1]):
-                y[list(grp)] = rng.uniform(fn.lower[list(grp)], fn.upper[list(grp)])
+            for group in (fn.groups[0], fn.groups[-1]):
+                grp = list(group.indices)
+                y[grp] = rng.uniform(fn.lower[grp], fn.upper[grp])
             changed = fn.groups_of(np.flatnonzero(y != x))
             assert changed == (0, len(kept) - 1)
             assert fn.evaluate(y, known=(kept, changed)) == fn(y), fid
@@ -426,9 +429,7 @@ def test_known_terms_recompute_only_the_listed_groups(dim):
 def test_weighted_single_group_functions():
     # the single rotated block carries a 1e6 weight
     fn = get_function("f04", 40, seed=1)
-    g = next(
-        i for i, k in enumerate(fn.structure.group_kind) if k == NONSEPARABLE
-    )
+    g = next(i for i, group in enumerate(fn.groups) if group.rotation is not None)
     assert fn.groups[g].weight == 1e6
     x = np.random.default_rng(5).uniform(fn.lower, fn.upper)
     assert fn.terms(x)[g] > 0
@@ -437,7 +438,7 @@ def test_weighted_single_group_functions():
 def test_make_separable_helper():
     fn = make_separable("sphere", 7, seed=2)
     assert fn.n == 7
-    assert fn.structure.group_kind == (SEPARABLE,)
+    assert [g.rotation for g in fn.groups] == [None]
     assert abs(fn(fn.shift)) <= 1e-12
     with pytest.raises(ValueError, match="unknown base 'nope'"):
         make_separable("nope", 5, seed=1)

@@ -1,20 +1,24 @@
+import hashlib
+import json
+import re
+
 import numpy as np
 import pytest
 
-from coopevo.benchmarks import get_function, make_separable
+from coopevo.benchmarks import get_function, make_separable, make_suite
 from coopevo.decomposition import Decomposition, SubProblem, embed, ideal_decompose
 
 
 def test_separable_chunking_reference_scale():
     fn = get_function("f01", 1000, seed=1)
-    decomp = ideal_decompose(fn.structure, 20, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 20)
     assert decomp.k == 50
     assert all(sub.s == 20 for sub in decomp.subproblems)
 
 
 def test_partially_separable_counts():
     fn = get_function("f10", 1000, seed=1)
-    decomp = ideal_decompose(fn.structure, 100, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 100)
     # 500 separable variables in blocks of 100, plus ten rotated groups
     assert decomp.k == 15
     sizes = sorted(sub.s for sub in decomp.subproblems)
@@ -23,20 +27,20 @@ def test_partially_separable_counts():
 
 def test_whole_problem_single_chunk():
     fn = make_separable("sphere", 10, seed=1)
-    decomp = ideal_decompose(fn.structure, 10, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 10)
     assert decomp.k == 1
     assert np.array_equal(decomp.subproblems[0].indices, np.arange(10))
 
 
 def test_trailing_chunk_may_be_smaller():
     fn = make_separable("sphere", 25, seed=1)
-    decomp = ideal_decompose(fn.structure, 10, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 10)
     assert [sub.s for sub in decomp.subproblems] == [10, 10, 5]
 
 
 def test_partition_is_disjoint_and_exhaustive():
     fn = get_function("f09", 100, seed=2)
-    decomp = ideal_decompose(fn.structure, 7, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 7)
     seen = np.concatenate([sub.indices for sub in decomp.subproblems])
     assert sorted(seen.tolist()) == list(range(100))
 
@@ -66,7 +70,31 @@ def test_decomposition_requires_ids_in_order():
 def test_ideal_decompose_rejects_bad_args():
     fn = make_separable("sphere", 10, seed=1)
     with pytest.raises(ValueError):
-        ideal_decompose(fn.structure, 0, fn.lower, fn.upper)
+        ideal_decompose(fn, 0)
+    assert ideal_decompose(fn, np.int64(4)).to_dict() == ideal_decompose(fn, 4).to_dict()
+
+
+@pytest.mark.parametrize("s_sep", [2.5, True, np.float64(3.0)], ids=["float", "bool", "np-float"])
+def test_ideal_decompose_rejects_non_integer_s_sep(s_sep):
+    # 2.5 would fail inside range() with a TypeError, True would give
+    # chunks of one variable
+    fn = make_separable("sphere", 10, seed=1)
+    with pytest.raises(ValueError, match=re.escape(f"s_sep {s_sep!r} is not an integer >= 1")):
+        ideal_decompose(fn, s_sep)
+
+
+@pytest.mark.parametrize(
+    "dim, s_sep, digest",
+    [
+        (40, 7, "bacb40a77fb238e9da1d61da8f13d0c8b88af34f5233fc72fca7b8b93a134b66"),
+        (1000, 20, "442400c7fcde5c88f4d6c73a899223784668b08bc4b270f8dfb687d7ad06b5fc"),
+    ],
+)
+def test_suite_decomposition_is_pinned(dim, s_sep, digest):
+    # every sub-problem of all 18 functions, separable tails shorter than
+    # s_sep included; the output set runs only four of them
+    dumped = json.dumps([ideal_decompose(fn, s_sep).to_dict() for fn in make_suite(dim, 1)])
+    assert hashlib.sha256(dumped.encode()).hexdigest() == digest
 
 
 def test_embed_identity_case():
@@ -108,7 +136,7 @@ def test_embedded_delta_depends_only_on_own_block():
     # same whatever the components outside the block are, as long as the
     # block's own context slice stays fixed
     fn = make_separable("rastrigin", 12, seed=5)
-    decomp = ideal_decompose(fn.structure, 4, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 4)
     sub = decomp.subproblems[1]
     rng = np.random.default_rng(8)
     x_g = rng.uniform(sub.lower, sub.upper)
@@ -124,7 +152,7 @@ def test_embedded_delta_depends_only_on_own_block():
 
 def test_serializable_for_run_record():
     fn = get_function("f04", 40, seed=1)
-    decomp = ideal_decompose(fn.structure, 10, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 10)
     d = decomp.to_dict()
     assert d["n"] == 40
     assert len(d["subproblems"]) == decomp.k

@@ -35,7 +35,7 @@ def check_rows(run, sub, rng):
 def test_evaluate_rows_is_bit_equal_to_full_evaluation(fid, dim):
     fn = get_function(fid, dim, 1)
     # a chunk size that leaves a shorter last separable chunk
-    decomp = ideal_decompose(fn.structure, dim // 10 + 3, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, dim // 10 + 3)
     run = CooperativeRun(fn, decomp, RunParams(max_fe=10**6), seed=1)
     rng = np.random.default_rng(dim)
     # first pass: each sub-problem after the adopts of the ones before it;
@@ -51,22 +51,21 @@ def test_evaluate_rows_is_bit_equal_to_full_evaluation(fid, dim):
 
 def test_rotated_sub_problems_touch_only_their_own_group():
     fn = get_function("f09", 40, 1)  # a separable block and ten rotated groups
-    decomp = ideal_decompose(fn.structure, 7, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 7)
     run = CooperativeRun(fn, decomp, RunParams(max_fe=10), seed=1)
-    groups = fn.structure.groups
     for sub, touched in zip(decomp.subproblems, run.touched):
         (pos,) = touched
-        assert set(sub.indices.tolist()) <= set(groups[pos])
+        assert set(sub.indices.tolist()) <= set(fn.groups[pos].indices)
     # every sub-problem of a one-group function touches that group
     fn = get_function("f01", 40, 1)
-    decomp = ideal_decompose(fn.structure, 7, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 7)
     run = CooperativeRun(fn, decomp, RunParams(max_fe=10), seed=1)
     assert run.touched == [(0,)] * decomp.k
 
 
 def test_evaluate_rows_stops_at_the_budget():
     fn = get_function("f14", 40, 1)
-    decomp = ideal_decompose(fn.structure, 2, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 2)
     run = CooperativeRun(fn, decomp, RunParams(max_fe=4), seed=1)
     sub = decomp.subproblems[3]
     rows = np.random.default_rng(0).uniform(sub.lower, sub.upper, (5, sub.s))
@@ -78,7 +77,7 @@ def test_evaluate_rows_stops_at_the_budget():
 
 def small_run(max_fe=10**6):
     fn = get_function("f09", 40, 1)  # a separable block and ten rotated groups
-    decomp = ideal_decompose(fn.structure, 7, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 7)
     return CooperativeRun(fn, decomp, RunParams(max_fe=max_fe), seed=1)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from coopevo.benchmarks import BenchmarkFunction, get_function, make_separable
 from coopevo.decomposition import ideal_decompose
-from coopevo.runtime import CooperativeRun, RunParams
+from coopevo.runtime import CooperativeRun, GenRow, RunParams
 from coopevo.shade import SubState
 from coopevo.shade_cc import ShadeCC
 from coopevo.surrogate_cc import SurrogateCC
@@ -11,7 +11,7 @@ from coopevo.surrogate_cc import SurrogateCC
 
 def make_cc(dim=10, s_sep=5, seed=1, **kw):
     fn = make_separable("sphere", dim, seed)
-    decomp = ideal_decompose(fn.structure, s_sep, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, s_sep)
     defaults = dict(max_fe=3000, p=20, visit_len=5)
     defaults.update(kw)
     return fn, decomp, ShadeCC(fn, decomp, RunParams(**defaults), seed=seed)
@@ -72,7 +72,8 @@ def test_budget_exhaustion_truncates_cleanly():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_budget_ends_inside_revisit_refresh(seed):
     # the budget runs out ``off`` evaluations into the second round's first
-    # refresh: that visit charges only what it refreshed and traces nothing
+    # refresh: that visit charges only what it refreshed, closes no
+    # generation and traces one row at the end of the budget
     p, visit_len = 10, 3
     k = make_cc()[1].k
     for off in range(p):
@@ -82,10 +83,31 @@ def test_budget_ends_inside_revisit_refresh(seed):
         assert 1 + record.reeval_evals + record.loop_real_evals == max_fe
         assert record.reeval_evals == k * p + off
         assert abs(fn(cc.context.x) - cc.context.f) <= 1e-9 * max(1.0, abs(cc.context.f))
+        assert cc.generation == k * visit_len
         gens = [row for row in record.rows if row.generation > 0]
-        assert len(gens) == k * visit_len
-        assert gens[-1].sub_id == k - 1
-        assert gens[-1].fe_used == max_fe - off
+        assert len(gens) == k * visit_len + (off > 0)
+        last_closed = gens[k * visit_len - 1]
+        assert last_closed.sub_id == k - 1
+        assert last_closed.fe_used == max_fe - off
+        if off:
+            assert record.rows[-1] == GenRow(k * visit_len, 0, max_fe, record.final_f)
+
+
+@pytest.mark.parametrize("cls", [SurrogateCC, ShadeCC], ids=lambda cls: cls.algorithm)
+def test_trace_ends_at_the_last_charged_evaluation(cls):
+    # every small budget on four sub-problems of five, wherever it runs out:
+    # in sacc's initial pool, in a generation, or in a shade-cc refresh
+    fn = get_function("f01", 20, 1)
+    decomp = ideal_decompose(fn, 5)
+    params = dict(p=4, q=2, visit_len=3)
+    start = cls.min_budget(decomp, RunParams(max_fe=1, **params))
+    for max_fe in range(start, start + 80):
+        opt = cls(fn, decomp, RunParams(max_fe=max_fe, **params), seed=1)
+        record = opt.run()
+        assert opt.budget.used == max_fe
+        assert (record.rows[-1].fe_used, record.rows[-1].f_best) == (max_fe, record.final_f)
+        fes = [row.fe_used for row in record.rows]
+        assert fes == sorted(fes), max_fe
 
 
 @pytest.mark.parametrize("fid", ["f01", "f05", "f10", "f14", "f17"])
@@ -93,7 +115,7 @@ def test_context_keeps_exact_terms_over_a_whole_run(fid):
     # shade-cc has no audit mode: check the context's kept terms at the end
     # of a run instead; it adopts a real fitness, so both checks are exact
     fn = get_function(fid, 40, 1)
-    decomp = ideal_decompose(fn.structure, 7, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 7)
     cc = ShadeCC(fn, decomp, RunParams(max_fe=3000, p=20, visit_len=3), seed=2)
     record = cc.run()
     assert record.context_updates > 0
@@ -189,7 +211,7 @@ def test_every_charge_after_x0_goes_through_evaluate_rows(case, monkeypatch):
         return evaluate(self, *args, **kwargs)
 
     monkeypatch.setattr(BenchmarkFunction, "evaluate", counted_evaluate)
-    decomp = ideal_decompose(fn.structure, s_sep, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, s_sep)
     opt = cls(fn, decomp, RunParams(max_fe=max_fe, **kw), seed=1)
     record = opt.run()
     assert opt.budget.used == max_fe == 1 + sum(rows)

@@ -9,7 +9,7 @@ from coopevo.surrogate_cc import SurrogateCC, initialization_cost
 
 def small_problem(base="sphere", dim=10, s_sep=5, seed=1):
     fn = make_separable(base, dim, seed)
-    decomp = ideal_decompose(fn.structure, s_sep, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, s_sep)
     return fn, decomp
 
 
@@ -226,7 +226,7 @@ def test_audit_mode_runs_clean():
 
 def rotated_opt(audit=True):
     fn = get_function("f14", 40, 1)  # twenty rotated groups of two
-    decomp = ideal_decompose(fn.structure, 2, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 2)
     params = RunParams(max_fe=2000, p=20, q=4, d_factor=5, memory_size=10)
     return fn, decomp, SurrogateCC(fn, decomp, params, seed=1, audit=audit)
 
@@ -343,7 +343,7 @@ def test_fe_conservation_property_random_configs():
         p = int(rng.choice([8, 12]))
         q = int(rng.integers(1, p + 1))
         fn = make_separable("sphere", dim, int(rng.integers(1, 100)))
-        decomp = ideal_decompose(fn.structure, s_sep, fn.lower, fn.upper)
+        decomp = ideal_decompose(fn, s_sep)
         params = RunParams(max_fe=1, p=p, q=q, d_factor=5)
         init = initialization_cost(decomp, params)
         budget = init + int(rng.integers(0, 12)) * q
@@ -359,7 +359,7 @@ def test_sphere_sanity_regression():
     # pinned after the first implementation run: a 100-d separable sphere
     # drops by far more than three orders of magnitude in 2e4 evaluations
     fn = make_separable("sphere", 100, seed=1)
-    decomp = ideal_decompose(fn.structure, 20, fn.lower, fn.upper)
+    decomp = ideal_decompose(fn, 20)
     record = SurrogateCC(fn, decomp, RunParams(max_fe=20000), seed=1).run()
     initial = record.rows[0].f_best
     assert record.final_f < initial * 1e-3
