@@ -27,7 +27,7 @@ def improvement(x_g):
 d = 5 * sub.s
 archive = TrainingArchive(d, sub.lower, sub.upper)
 samples = rng.uniform(sub.lower, sub.upper, (d, sub.s))
-archive.fill(samples, np.array([improvement(x) for x in samples]))
+archive.push(samples, np.array([improvement(x) for x in samples]))
 
 model = train_surrogate(archive)
 print(f"trained on {d} samples of a {sub.s}-d sub-problem "

@@ -20,7 +20,7 @@ because that is how perfbench's traced run counts charged evaluations
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -97,6 +97,11 @@ class RunParams:
     visit_len: int = 100
 
     def __post_init__(self):
+        # bool is an int subclass and does not count; numpy integers do
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is bool or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.p < 4:
             raise ValueError("population size must be >= 4")
         if not 1 <= self.q <= self.p:

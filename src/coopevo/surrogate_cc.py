@@ -90,7 +90,7 @@ class SurrogateCC(CooperativeRun):
             st = self.new_sub(g, max(d, params.p))
             vals = self.context.f - self.evaluate_rows(sub, st.pop)
             archive = TrainingArchive(d, sub.lower, sub.upper)
-            archive.fill(st.pop[-d:], vals[-d:])
+            archive.push(st.pop[-d:], vals[-d:])
             best = select_best(vals, params.p)
             st.pop, st.pop_vals = st.pop[best], vals[best]
             self.subs.append(st)

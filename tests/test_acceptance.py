@@ -40,7 +40,7 @@ def test_criterion_1_rbf_interpolation_and_affine_exactness():
             arch = TrainingArchive(d, lower, upper)
             pts = rng.uniform(-10, 10, (d, s))
             vals = rng.normal(size=d) * rng.uniform(0.5, 1e3)
-            arch.fill(pts, vals)
+            arch.push(pts, vals)
             model = train_surrogate(arch)
             assert not model.regularized
             resid = np.max(np.abs(model.predict_batch(pts) - vals))
@@ -55,7 +55,7 @@ def test_criterion_1_rbf_interpolation_and_affine_exactness():
         pts = rng.uniform(-10, 10, (d, s))
         beta = rng.normal(size=s)
         alpha = rng.normal()
-        arch.fill(pts, pts @ beta + alpha)
+        arch.push(pts, pts @ beta + alpha)
         model = train_surrogate(arch)
         probes = rng.uniform(-10, 10, (100, s))
         err = np.max(np.abs(model.predict_batch(probes) - (probes @ beta + alpha)))

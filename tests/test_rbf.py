@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -18,7 +20,7 @@ def filled_archive(points, values, lower=None, upper=None):
     lower = np.full(s, -10.0) if lower is None else np.asarray(lower, dtype=float)
     upper = np.full(s, 10.0) if upper is None else np.asarray(upper, dtype=float)
     arch = TrainingArchive(len(points), lower, upper)
-    arch.fill(points, np.asarray(values, dtype=float))
+    arch.push(points, np.asarray(values, dtype=float))
     return arch
 
 
@@ -181,39 +183,27 @@ def test_push_into_partial_archive_evicts_only_the_overflow():
     assert arch.values.tolist() == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0]
 
 
-def test_fill_rejects_unequal_lengths():
-    arch = TrainingArchive(5, np.full(2, -10.0), np.full(2, 10.0))
-    with pytest.raises(ValueError, match="5 points but 3 values"):
-        arch.fill(np.zeros((5, 2)), np.zeros(3))
-    assert len(arch) == 0
-
-
 def test_push_rejects_unequal_lengths():
-    arch = filled_archive(np.arange(5.0)[:, None], np.arange(5.0))
-    with pytest.raises(ValueError, match="2 points but 1 values"):
-        arch.push(np.array([[7.0], [8.0]]), np.array([70.0]))
-    assert arch.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]  # nothing evicted
-
-
-def test_fill_rejects_points_of_the_wrong_width():
-    # a (4, 1) block used to broadcast each value across its row
-    arch = TrainingArchive(4, np.zeros(3), np.ones(3))
-    with pytest.raises(ValueError, match=r"shape \(b, 3\), got \(4, 1\)"):
-        arch.fill(np.full((4, 1), 0.5), np.arange(4.0))
-    assert len(arch) == 0
+    for arch in (TrainingArchive(5, [-10.0], [10.0]),
+                 filled_archive(np.arange(5.0)[:, None], np.arange(5.0))):
+        before = arch.values.tolist()
+        with pytest.raises(ValueError, match="2 points but 1 values"):
+            arch.push(np.array([[7.0], [8.0]]), np.array([70.0]))
+        assert arch.values.tolist() == before  # nothing written or evicted
 
 
 @pytest.mark.parametrize(
     "points",
-    [np.array([0.7, 0.8, 0.9]), np.full((3, 2), 0.5)],
-    ids=["one-dimensional", "width-2"],
+    [np.array([0.7, 0.8, 0.9]), np.full((3, 2), 0.5), np.full((4, 1), 0.5)],
+    ids=["one-dimensional", "width-2", "width-1"],
 )
 def test_push_rejects_points_of_the_wrong_shape(points):
+    # a (4, 1) block would broadcast each value across its row
     arch = filled_archive(np.arange(12.0).reshape(4, 3) / 20.0, np.arange(4.0),
                           lower=np.zeros(3), upper=np.ones(3))
     before = arch.points.copy()
-    with pytest.raises(ValueError, match=r"shape \(b, 3\)"):
-        arch.push(points, np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match=rf"shape \(b, 3\), got {re.escape(str(points.shape))}"):
+        arch.push(points, np.arange(float(len(points))))
     assert np.array_equal(arch.points, before)  # nothing evicted
     assert arch.values.tolist() == [0.0, 1.0, 2.0, 3.0]
 
@@ -226,6 +216,32 @@ def test_push_rejects_points_of_the_wrong_shape(points):
 def test_archive_rejects_bad_bounds(lower, upper):
     with pytest.raises(ValueError, match="bound"):
         TrainingArchive(6, np.array(lower), np.array(upper))
+
+
+@pytest.mark.parametrize("capacity", [2.5, True, 0, -3, "6"])
+def test_archive_rejects_a_capacity_that_is_not_a_positive_integer(capacity):
+    with pytest.raises(ValueError, match=re.escape(f"capacity {capacity!r}")):
+        TrainingArchive(capacity, [0.0], [1.0])
+
+
+def test_archive_accepts_a_numpy_integer_capacity():
+    arch = TrainingArchive(np.int64(3), [0.0], [1.0])
+    arch.push(np.array([[0.1], [0.2], [0.3]]), np.arange(3.0))
+    arch.push(np.array([[0.4]]), np.array([3.0]))
+    assert arch.values.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_arrays_read_before_a_push_or_rebase_keep_their_rows():
+    arch = filled_archive([[0.0], [1.0], [2.0]], [5.0, 3.0, -1.0],
+                          lower=[-10.0], upper=[10.0])
+    points, values = arch.points, arch.values
+    arch.push(np.array([[7.0]]), np.array([70.0]))
+    assert points.ravel().tolist() == [0.0, 1.0, 2.0]
+    assert values.tolist() == [5.0, 3.0, -1.0]
+    values = arch.values
+    arch.rebase(3.0)
+    assert values.tolist() == [3.0, -1.0, 70.0]
+    assert arch.values.tolist() == [0.0, -4.0, 67.0]
 
 
 def test_duplicate_push_gets_perturbed():
@@ -293,10 +309,10 @@ def test_archive_matches_straight_line_reference_with_planted_duplicates():
     arch = TrainingArchive(cap, lower, upper)
     ref = ListArchive(cap, lower, upper)
     init = rng.uniform(lower, upper, (cap, s))
-    init[5] = init[2]                  # duplicate inside the initial fill
+    init[5] = init[2]                  # duplicate inside the first push
     init[7] = upper                    # a row on the bound
     init[8] = upper
-    arch.fill(init, np.arange(cap, dtype=float))
+    arch.push(init, np.arange(cap, dtype=float))
     for x, v in zip(init, np.arange(cap, dtype=float)):
         ref.insert(x, v)
     nudged = 0
@@ -346,7 +362,7 @@ def test_push_without_close_pair_stores_rows_as_given():
 
 
 def test_late_duplicate_in_batch_is_nudged_like_the_reference():
-    # the fill and the first push have no close pair and are written as
+    # the first two pushes have no close pair and are written as
     # whole batches; the second push's only duplicate pairs its last row
     # with its first, so its nudge is seeded by the tick count of the
     # batches before it
@@ -356,7 +372,7 @@ def test_late_duplicate_in_batch_is_nudged_like_the_reference():
     arch = TrainingArchive(cap, lower, upper)
     ref = ListArchive(cap, lower, upper)
     init = rng.uniform(lower, upper, (cap, s))
-    arch.fill(init, np.arange(cap, dtype=float))
+    arch.push(init, np.arange(cap, dtype=float))
     ref.push(init, np.arange(cap, dtype=float))
     clean = rng.uniform(lower, upper, (5, s))
     late = rng.uniform(lower, upper, (6, s))

@@ -122,3 +122,18 @@ def test_evaluate_rows_makes_one_evaluate_call_with_known_terms_per_row(b, max_f
     assert len(calls) == charged
     assert all(known is not None for known in calls)
     assert all(known[0] is run.context.terms and known[1] == run.touched[2] for known in calls)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("p", 20.5), ("memory_size", 2.0), ("d_factor", 1.5), ("q", True), ("visit_len", True),
+     ("max_fe", 5000.0)],
+)
+def test_run_params_reject_values_that_are_not_integers(name, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        RunParams(**{"max_fe": 5000, "p": 20, name: value})
+
+
+def test_run_params_accept_numpy_integers():
+    params = RunParams(max_fe=np.int64(5000), p=np.int32(20), q=np.int64(4))
+    assert (params.max_fe, params.p, params.q) == (5000, 20, 4)
