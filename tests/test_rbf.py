@@ -183,13 +183,18 @@ def test_push_into_partial_archive_evicts_only_the_overflow():
     assert arch.values.tolist() == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0]
 
 
+def test_push_into_empty_archive_rejects_unequal_lengths():
+    arch = TrainingArchive(5, np.full(2, -10.0), np.full(2, 10.0))
+    with pytest.raises(ValueError, match="5 points but 3 values"):
+        arch.push(np.zeros((5, 2)), np.zeros(3))
+    assert len(arch) == 0  # nothing written
+
+
 def test_push_rejects_unequal_lengths():
-    for arch in (TrainingArchive(5, [-10.0], [10.0]),
-                 filled_archive(np.arange(5.0)[:, None], np.arange(5.0))):
-        before = arch.values.tolist()
-        with pytest.raises(ValueError, match="2 points but 1 values"):
-            arch.push(np.array([[7.0], [8.0]]), np.array([70.0]))
-        assert arch.values.tolist() == before  # nothing written or evicted
+    arch = filled_archive(np.arange(5.0)[:, None], np.arange(5.0))
+    with pytest.raises(ValueError, match="2 points but 1 values"):
+        arch.push(np.array([[7.0], [8.0]]), np.array([70.0]))
+    assert arch.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]  # nothing evicted
 
 
 @pytest.mark.parametrize(
