@@ -15,20 +15,24 @@ derived from that table, and the table is the ground-truth structure that
 ``decomposition.ideal_decompose`` reads.
 
 Each group's weighted term is computed by one call, ``_Term.term``: the
-group's base applied to its shifted (and, if rotated, ``rot @ z``)
+group's base applied to its shifted (and, if rotated, ``rot.dot(z)``)
 coordinates, times its weight. ``BenchmarkFunction.terms`` calls it for
 every group in group order, and ``evaluate`` adds the terms one at a time
 in that order. The shift at each group's indices and the elliptic
 coefficients of each group size are computed once, not per call.
 
 Because the function is a sum of group terms, a point that differs from a
-known one only inside some groups needs only those groups recomputed:
-``terms(x, known=(kept, groups))`` copies the kept terms and calls the term
-of each listed group, the same call a full evaluation makes, so the terms
-and their sum are bit-identical to a full evaluation by construction.
-``groups_of`` maps variable indices to the positions of the groups that own
-them. The cooperative run uses this to score a sub-solution embedded into
-the context vector from the context's kept terms (``runtime``).
+known one only inside some groups needs only those groups recomputed.
+``fn.known(kept, groups)`` checks the kept terms and the group positions
+once and returns a ``KnownTerms`` bound to ``fn``; ``terms(x, known)`` and
+``evaluate(x, known)`` take only ``None`` or such a ``KnownTerms`` of the
+same function, check just its type and owner per call, copy the kept terms
+and call the term of each listed group, the same call a full evaluation
+makes, so the terms and their sum are bit-identical to a full evaluation by
+construction. ``groups_of`` maps variable indices to the positions of the
+groups that own them. The cooperative run uses this to score a
+sub-solution embedded into the context vector from the context's kept
+terms, building one ``KnownTerms`` per batch of rows (``runtime``).
 
 Each base maps ``z`` of shape ``(..., m)`` to one value per row and is
 row-stable: a row's value does not depend on the other rows passed with
@@ -38,7 +42,7 @@ values the per-group term gives. Every reduction is taken per row:
 
 - each dot product is a stacked ``np.matmul`` of ``(..., 1, m)`` slices,
   which makes one BLAS dot per row (a ``(b, m) @ coef`` gemv or an
-  ``einsum`` would sum in another order); a 1-D dot is ``np.dot``, the
+  ``einsum`` would sum in another order); a 1-D dot is ``a.dot(b)``, the
   same BLAS dot;
 - sums run along the last axis;
 - ``ackley`` keeps libm's ``math.exp``, one value at a time, so a row's
@@ -73,10 +77,10 @@ BASE_BOUNDS = {
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product over the last axis, one BLAS dot per row: ``np.dot``
+    """Dot product over the last axis, one BLAS dot per row: ``a.dot(b)``
     for a 1-D ``a``, a stacked ``np.matmul`` otherwise."""
     if a.ndim == 1:
-        return np.dot(a, b)
+        return a.dot(b)
     return np.matmul(a[..., None, :], b[..., None])[..., 0, 0]
 
 
@@ -143,6 +147,13 @@ BASES = {
 }
 
 
+def check_integer(name: str, value) -> None:
+    """Raise a ``ValueError`` that names ``value`` unless it is an integer:
+    ``bool`` is an int subclass and does not count; numpy integers do."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_partition(groups, n: int) -> None:
     """Check that ``groups`` partition the indices 0..n-1: every group is
     non-empty and holds integers (``bool`` is not one), no index appears
@@ -181,7 +192,7 @@ class _Term(NamedTuple):
         idx, shift, rot, base, weight = self
         z = x[idx] - shift
         if rot is not None:
-            z = rot @ z
+            z = rot.dot(z)
         return weight * base(z)
 
 
@@ -215,6 +226,20 @@ def _check_indices(values, stop: int, what: str) -> None:
     for i in values:
         if type(i) is bool or not isinstance(i, (int, np.integer)) or not 0 <= i < stop:
             raise ValueError(f"{what} {i!r} is not an integer in 0..{stop - 1}")
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class KnownTerms:
+    """The group terms of a known point, made by ``BenchmarkFunction.known``.
+
+    ``kept`` holds every group's term as a float, ``groups`` the positions
+    of the groups a new point may differ in, and ``fn`` the function they
+    were checked for; only that function's ``terms`` and ``evaluate``
+    accept it."""
+
+    kept: tuple[float, ...]
+    groups: tuple[int, ...]
+    fn: BenchmarkFunction
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +293,7 @@ class BenchmarkFunction:
     def __call__(self, x: np.ndarray) -> float:
         return self.evaluate(x)
 
-    def evaluate(self, x: np.ndarray, known: tuple | None = None) -> float:
+    def evaluate(self, x: np.ndarray, known: KnownTerms | None = None) -> float:
         """Full fitness: the sum of ``terms(x, known)``.
 
         The terms are added one at a time in group order, so the value is
@@ -276,33 +301,43 @@ class BenchmarkFunction:
         the module docstring), with or without ``known``."""
         return sum(self._values(x, known))
 
-    def terms(self, x: np.ndarray, known: tuple | None = None) -> np.ndarray:
+    def terms(self, x: np.ndarray, known: KnownTerms | None = None) -> np.ndarray:
         """The weighted term of every group at ``x``, in group order.
 
-        ``known = (terms, groups)`` holds the terms of a point that agrees
-        with ``x`` outside the group positions ``groups`` (see
-        ``groups_of``, each an integer, not a ``bool``, in 0..k-1 for k
-        groups): those terms are kept and only the listed groups are
-        recomputed, by the same per-group call as without ``known``."""
+        ``known``, made by ``self.known(terms, groups)``, holds the terms of
+        a point that agrees with ``x`` outside the listed group positions:
+        those terms are kept and only the listed groups are recomputed, by
+        the same per-group call as without ``known``."""
         return np.array(self._values(x, known))
 
-    def _values(self, x: np.ndarray, known: tuple | None) -> list:
+    def known(self, terms, groups) -> KnownTerms:
+        """The ``known`` argument of ``terms`` and ``evaluate``: ``terms``
+        must have shape ``(k,)`` for k groups and ``groups`` (see
+        ``groups_of``) must hold integers, not ``bool``, in 0..k-1. Checked
+        once here, so a batch of points can share one ``KnownTerms``."""
+        k = len(self._terms)
+        kept = np.asarray(terms, dtype=float)
+        if kept.shape != (k,):
+            raise ValueError(f"expected {k} known terms, got shape {kept.shape}")
+        groups = groups.tolist() if isinstance(groups, np.ndarray) else list(groups)
+        _check_indices(groups, k, "group position")
+        return KnownTerms(tuple(kept.tolist()), tuple(map(int, groups)), self)
+
+    def _values(self, x: np.ndarray, known: KnownTerms | None) -> list:
         """``terms(x, known)`` as a list of floats, the one path of both
         ``terms`` and ``evaluate``: the kept terms are copied as a list, so
         a partial evaluation copies no array."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        k = len(self._terms)
         if known is None:
             return [float(term.term(x)) for term in self._terms]
-        kept, groups = known
-        kept = np.asarray(kept, dtype=float)
-        if kept.shape != (k,):
-            raise ValueError(f"expected {k} known terms, got shape {kept.shape}")
-        _check_indices(groups, k, "group position")
-        out = kept.tolist()
-        for pos in groups:
+        if type(known) is not KnownTerms:
+            raise ValueError(f"known must be None or a KnownTerms, got {type(known).__name__}")
+        if known.fn is not self:
+            raise ValueError(f"known was made by another function, not this {self.fid}")
+        out = list(known.kept)
+        for pos in known.groups:
             out[pos] = float(self._terms[pos].term(x))
         return out
 
@@ -387,7 +422,10 @@ def build_function(
 ) -> BenchmarkFunction:
     """Assemble one function: ``n_groups`` rotated blocks of ``group_size``
     variables drawn from a seeded permutation, remaining variables in one
-    separable block. Pass ``n_groups=0`` for a fully separable function."""
+    separable block. Pass ``n_groups=0`` for a fully separable function.
+    ``dim`` and ``seed`` must be integers (``bool`` is not one)."""
+    check_integer("dim", dim)
+    check_integer("seed", seed)
     if n_groups * group_size > dim:
         raise ValueError("rotated groups exceed dimension")
     if n_groups > 0 and nonsep_base is None:
@@ -408,7 +446,7 @@ def build_function(
                             _synth_rotation(rng, group_size)))
 
     shift = _synth_shift(rng, *_box(groups))
-    fn = BenchmarkFunction(fid, shift, tuple(groups), seed)
+    fn = BenchmarkFunction(fid, shift, tuple(groups), int(seed))
     opt = fn(shift)
     if abs(opt) > 1e-9:
         raise AssertionError(f"{fid}: f(shift) = {opt!r}, expected 0")
@@ -434,6 +472,8 @@ def get_function(fid: str, dim: int, seed: int) -> BenchmarkFunction:
     """Build a single suite member by id ('f01' .. 'f18')."""
     if fid not in _SUITE_LAYOUT:
         raise ValueError(f"unknown function id {fid!r}")
+    check_integer("dim", dim)
+    check_integer("seed", seed)
     if dim < 20 or dim % 20 != 0:
         raise ValueError("dim must be a positive multiple of 20")
     sep_base, nonsep_base, n_groups, weight = _SUITE_LAYOUT[fid]

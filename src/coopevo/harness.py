@@ -199,8 +199,14 @@ def cohens_d(mean_a: float, std_a: float, mean_b: float, std_b: float) -> tuple[
 
     The magnitude label uses the bands |d| < 0.2 similar, [0.2, 0.3) small,
     [0.3, 0.8) medium, and [0.8, inf) large. A zero pooled spread yields
-    d = 0 for equal means and a signed infinity otherwise.
+    d = 0 for equal means and a signed infinity otherwise. A NaN input, or
+    a NaN d (say, from two infinite means of one sign), is a ValueError:
+    no label fits it.
     """
+    args = {"mean_a": mean_a, "std_a": std_a, "mean_b": mean_b, "std_b": std_b}
+    for name, value in args.items():
+        if math.isnan(value):
+            raise ValueError(f"{name} is NaN")
     pooled = math.sqrt((std_a * std_a + std_b * std_b) / 2.0)
     if pooled == 0.0:
         if mean_a == mean_b:
@@ -211,6 +217,9 @@ def cohens_d(mean_a: float, std_a: float, mean_b: float, std_b: float) -> tuple[
 
 
 def effect_label(d: float) -> str:
+    """The magnitude band of ``d`` (see ``cohens_d``); NaN is a ValueError."""
+    if math.isnan(d):
+        raise ValueError("effect size d is NaN")
     mag = abs(d)
     if mag >= 0.8:
         return "large"

@@ -85,6 +85,8 @@ class TrainingArchive:
         self.upper = np.asarray(upper, dtype=float)
         if self.lower.shape != self.upper.shape:
             raise ValueError("lower and upper bounds differ in shape")
+        if self.lower.ndim != 1:
+            raise ValueError(f"bounds must be 1-D, got shape {self.lower.shape}")
         if not np.all(self.upper > self.lower):
             raise ValueError("every upper bound must exceed its lower bound")
         self.points = np.empty((0, self.lower.size))

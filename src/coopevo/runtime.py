@@ -7,11 +7,14 @@ The context carries its own group terms (``ContextState.terms``), and the
 run keeps, per sub-problem, the positions of the groups its variables fall
 in. A charged row differs from the context only inside those groups, so
 ``evaluate_rows`` writes each row of a batch into one working copy of the
-context, made once per batch, and passes the context's terms to
-``BenchmarkFunction.evaluate``, which recomputes only those groups, each by
-the call a full evaluation makes for it, and so returns the value a full
-evaluation gives, bit for bit; ``adopt`` refreshes the terms the same way,
-uncharged. The terms belong to the benchmark, which stands in for the
+context and builds one ``KnownTerms`` (``fn.known(context.terms,
+groups)``, which checks the terms and positions), both once per batch, and
+passes it to ``BenchmarkFunction.evaluate`` for every row. ``evaluate``
+checks only that it is a ``KnownTerms`` of that function, recomputes only
+those groups, each by the call a full evaluation makes for it, and so
+returns the value a full evaluation gives, bit for bit; ``adopt``
+refreshes the terms the same way, uncharged, with one ``KnownTerms`` per
+adoption. The terms belong to the benchmark, which stands in for the
 expensive model: the optimizers never see them, and every row is still
 charged one evaluation. Each row is also still one ``fn.evaluate`` call,
 because that is how perfbench's traced run counts charged evaluations
@@ -26,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .benchmarks import BenchmarkFunction
+from .benchmarks import BenchmarkFunction, check_integer
 from .decomposition import Decomposition, SubProblem, embed
 from .shade import ParameterMemory, SubState
 
@@ -56,6 +59,7 @@ class FeBudget:
     """Strict counter of real fitness evaluations."""
 
     def __init__(self, max_fe: int):
+        check_integer("max_fe", max_fe)
         if max_fe < 1:
             raise ValueError("max_fe must be >= 1")
         self.max_fe = int(max_fe)
@@ -97,11 +101,8 @@ class RunParams:
     visit_len: int = 100
 
     def __post_init__(self):
-        # bool is an int subclass and does not count; numpy integers do
         for f in fields(self):
-            value = getattr(self, f.name)
-            if type(value) is bool or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            check_integer(f.name, getattr(self, f.name))
         if self.p < 4:
             raise ValueError("population size must be >= 4")
         if not 1 <= self.q <= self.p:
@@ -237,15 +238,17 @@ class CooperativeRun:
         This is the one place that charges the objective after ``x0``: both
         optimizers score every sub-solution through it. ``rows`` must be 2-D
         with ``sub.s`` columns. Each row is written into one working copy of
-        the context, made once per batch, and scored by one ``fn.evaluate``
-        call that reuses the context's terms and recomputes only the groups
-        ``sub`` touches, which is bit-identical to
-        ``fn(embed(context.x, sub, row))``. One call per row is also how
-        perfbench's traced run counts charged evaluations."""
+        the context and scored by one ``fn.evaluate`` call that reuses the
+        context's terms and recomputes only the groups ``sub`` touches,
+        which is bit-identical to ``fn(embed(context.x, sub, row))``. The
+        copy and the ``KnownTerms`` those calls share are made once per
+        batch, so the terms and group positions are checked once per batch,
+        not once per row. One call per row is also how perfbench's traced
+        run counts charged evaluations."""
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != sub.s:
             raise ValueError(f"expected rows of length {sub.s}, got shape {rows.shape}")
-        known = (self.context.terms, self.touched[sub.sid])
+        known = self.fn.known(self.context.terms, self.touched[sub.sid])
         x, idx = self.context.x.copy(), sub.indices
         f = []
         for row in rows[: self.budget.max_fe - self.budget.used]:
@@ -258,7 +261,7 @@ class CooperativeRun:
         """Replace the context by ``x_g`` embedded into it, with real fitness
         ``f`` and the terms of the groups ``sub`` touches recomputed."""
         x = embed(self.context.x, sub, x_g)
-        known = (self.context.terms, self.touched[sub.sid])
+        known = self.fn.known(self.context.terms, self.touched[sub.sid])
         self.context = ContextState(x, f, self.fn.terms(x, known))
         self.record.context_updates += 1
 

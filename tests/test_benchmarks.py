@@ -172,6 +172,36 @@ def test_make_suite_rejects_bad_dimension():
         get_function("f99", 40, seed=1)
 
 
+@pytest.mark.parametrize("dim", [40.0, 2.5, True, "40"])
+def test_builders_reject_a_dim_that_is_not_an_integer(dim):
+    # unchecked, 40.0 and 2.5 would fail inside numpy with an AxisError
+    message = re.escape(f"dim must be an integer, got {dim!r}")
+    with pytest.raises(ValueError, match=message):
+        get_function("f01", dim, 1)
+    with pytest.raises(ValueError, match=message):
+        make_separable("sphere", dim, 1)
+    with pytest.raises(ValueError, match=message):
+        make_suite(dim, 1)
+
+
+@pytest.mark.parametrize("seed", [True, 1.0])
+def test_builders_reject_a_seed_that_is_not_an_integer(seed):
+    # unchecked, a bool seed would reach the manifest as "seed": true
+    message = re.escape(f"seed must be an integer, got {seed!r}")
+    with pytest.raises(ValueError, match=message):
+        get_function("f01", 40, seed)
+    with pytest.raises(ValueError, match=message):
+        build_function("fx", 10, seed, "sphere", "elliptic", 1, 5)
+
+
+def test_builders_accept_numpy_integers():
+    fn = get_function("f09", np.int64(40), np.int64(1))
+    ref = get_function("f09", 40, 1)
+    assert fn.manifest() == ref.manifest()
+    assert type(fn.manifest()["seed"]) is int
+    assert fn.shift.tolist() == ref.shift.tolist()
+
+
 ROT90 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
@@ -302,7 +332,8 @@ def test_evaluation_is_bit_identical_to_per_group_formula(dim):
             grp = list(group.indices)
             y = x.copy()
             y[grp] = rng.uniform(fn.lower[grp], fn.upper[grp])
-            assert fn.terms(y, (kept, (pos,))).tolist() == _reference_terms(fn, y), (fn.fid, pos)
+            got = fn.terms(y, fn.known(kept, (pos,))).tolist()
+            assert got == _reference_terms(fn, y), (fn.fid, pos)
 
 
 @pytest.mark.parametrize("name", sorted(BASES))
@@ -345,15 +376,15 @@ def test_evaluate_rejects_wrong_length():
 def test_known_terms_reject_wrong_length_like_the_full_path():
     fn = small_suite()[13]  # twenty rotated groups
     x = fn.shift.copy()
-    known = (fn.terms(x), fn.groups_of([0]))
+    known = fn.known(fn.terms(x), fn.groups_of([0]))
     for bad in (np.zeros(fn.n + 1), np.zeros(fn.n - 1), np.zeros((1, fn.n))):
         with pytest.raises(ValueError, match=f"expected vector of length {fn.n}") as full:
             fn.evaluate(bad)
         with pytest.raises(ValueError, match=f"expected vector of length {fn.n}") as delta:
             fn.evaluate(bad, known=known)
         assert str(delta.value) == str(full.value)
-    with pytest.raises(ValueError, match="known terms"):
-        fn.evaluate(x, known=(fn.terms(x)[:-1], known[1]))
+    with pytest.raises(ValueError, match=re.escape("expected 20 known terms, got shape (19,)")):
+        fn.known(fn.terms(x)[:-1], known.groups)
 
 
 def test_groups_of_lists_sorted_owner_positions():
@@ -388,10 +419,26 @@ def test_known_terms_reject_positions_that_are_not_group_positions(bad):
     kept = fn.terms(x)
     message = re.escape(f"group position {bad!r} is not an integer in 0..10")
     with pytest.raises(ValueError, match=message):
-        fn.terms(x, (kept, (0, bad)))
+        fn.known(kept, (0, bad))
     with pytest.raises(ValueError, match=message):
-        fn.evaluate(x, known=(kept, (bad,)))
-    assert fn.terms(x, (kept, (np.int64(10),))).tolist() == kept.tolist()
+        fn.known(kept, np.array([bad]))
+    assert fn.terms(x, fn.known(kept, (np.int64(10),))).tolist() == kept.tolist()
+
+
+def test_terms_take_only_known_terms_of_the_same_function():
+    # the kept terms and positions are checked once, by ``known``; per call
+    # only the type and the owner are
+    fn = get_function("f09", 40, seed=1)
+    twin = get_function("f09", 40, seed=1)  # equal definition, another object
+    x = fn.shift.copy()
+    kept, groups = fn.terms(x), (0,)
+    for call in (fn.terms, fn.evaluate):
+        with pytest.raises(ValueError, match="known must be None or a KnownTerms, got tuple"):
+            call(x, (kept, groups))
+        with pytest.raises(ValueError, match="known was made by another function, not this f09"):
+            call(x, twin.known(kept, groups))
+    assert fn.terms(x, fn.known(kept, groups)).tolist() == kept.tolist()
+    assert twin.evaluate(x, twin.known(kept, groups)) == fn(x)
 
 
 @pytest.mark.parametrize("dim", [40, 1000])
@@ -405,7 +452,7 @@ def test_known_terms_recompute_only_the_listed_groups(dim):
             grp = list(group.indices)
             y = x.copy()
             y[grp] = rng.uniform(fn.lower[grp], fn.upper[grp])
-            known = (kept, (pos,))
+            known = fn.known(kept, (pos,))
             assert fn.terms(y, known).tolist() == fn.terms(y).tolist(), fid
             assert fn.evaluate(y, known=known) == fn(y), fid
         if len(kept) > 1:
@@ -416,11 +463,11 @@ def test_known_terms_recompute_only_the_listed_groups(dim):
                 y[grp] = rng.uniform(fn.lower[grp], fn.upper[grp])
             changed = fn.groups_of(np.flatnonzero(y != x))
             assert changed == (0, len(kept) - 1)
-            assert fn.evaluate(y, known=(kept, changed)) == fn(y), fid
+            assert fn.evaluate(y, known=fn.known(kept, changed)) == fn(y), fid
         # a kept term is taken as given, not recomputed, and the argument
         # is not written
         wrong = kept + 1.0
-        got = fn.terms(x, (wrong, (len(kept) - 1,)))
+        got = fn.terms(x, fn.known(wrong, (len(kept) - 1,)))
         assert got[:-1].tolist() == wrong[:-1].tolist()
         assert got[-1] == kept[-1]
         assert wrong.tolist() == (kept + 1.0).tolist()

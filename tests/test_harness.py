@@ -77,6 +77,27 @@ def test_cohens_d_zero_spread_unequal_means():
     assert math.isinf(d) and d < 0
 
 
+@pytest.mark.parametrize("position", range(4))
+def test_cohens_d_rejects_a_nan_input(position):
+    # unchecked, a NaN mean or spread would be labelled "similar"
+    args = [0.0, 1.0, 0.0, 1.0]
+    args[position] = math.nan
+    name = ("mean_a", "std_a", "mean_b", "std_b")[position]
+    with pytest.raises(ValueError, match=f"{name} is NaN"):
+        cohens_d(*args)
+
+
+def test_effect_label_rejects_nan_and_infinite_means_keep_their_sign():
+    with pytest.raises(ValueError, match="d is NaN"):
+        effect_label(math.nan)
+    # two infinite means of one sign give no difference to label
+    with pytest.raises(ValueError, match="d is NaN"):
+        cohens_d(math.inf, 1.0, math.inf, 1.0)
+    assert cohens_d(math.inf, 1.0, 0.0, 1.0) == (math.inf, "large")
+    assert cohens_d(0.0, 1.0, math.inf, 0.0) == (-math.inf, "large")
+    assert cohens_d(-math.inf, 0.0, 0.0, 0.0) == (-math.inf, "large")
+
+
 def test_cohens_d_antisymmetric():
     rng = np.random.default_rng(0)
     for _ in range(20):

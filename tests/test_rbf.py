@@ -223,6 +223,15 @@ def test_archive_rejects_bad_bounds(lower, upper):
         TrainingArchive(6, np.array(lower), np.array(upper))
 
 
+def test_archive_rejects_bounds_that_are_not_one_dimensional():
+    # unchecked, (2, 2) bounds would read as s = 4 and fail later, in training
+    box = np.zeros((2, 2))
+    with pytest.raises(ValueError, match=re.escape("bounds must be 1-D, got shape (2, 2)")):
+        TrainingArchive(6, box, box + 1.0)
+    with pytest.raises(ValueError, match=re.escape("bounds must be 1-D, got shape ()")):
+        TrainingArchive(6, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("capacity", [2.5, True, 0, -3, "6"])
 def test_archive_rejects_a_capacity_that_is_not_a_positive_integer(capacity):
     with pytest.raises(ValueError, match=re.escape(f"capacity {capacity!r}")):

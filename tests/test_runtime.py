@@ -5,7 +5,7 @@ import pytest
 
 from coopevo.benchmarks import FUNCTION_IDS, BenchmarkFunction, get_function
 from coopevo.decomposition import embed, ideal_decompose
-from coopevo.runtime import CooperativeRun, RunParams
+from coopevo.runtime import BudgetExhausted, CooperativeRun, FeBudget, RunParams
 
 BATCH_SIZES = (1, 2, 100)
 
@@ -18,7 +18,7 @@ def check_rows(run, sub, rng):
     terms), which ``test_benchmarks`` checks against the per-group formula.
     Returns the last batch and its values."""
     fn, x = run.fn, run.context.x
-    known = (fn.terms(x), fn.groups_of(sub.indices))
+    known = fn.known(fn.terms(x), fn.groups_of(sub.indices))
     for b in BATCH_SIZES:
         rows = rng.uniform(sub.lower, sub.upper, (b, sub.s))
         used = run.budget.used
@@ -120,8 +120,12 @@ def test_evaluate_rows_makes_one_evaluate_call_with_known_terms_per_row(b, max_f
     assert values.size == charged
     assert run.budget.used == 1 + charged
     assert len(calls) == charged
-    assert all(known is not None for known in calls)
-    assert all(known[0] is run.context.terms and known[1] == run.touched[2] for known in calls)
+    # the rows of one batch share one KnownTerms, built from the context
+    known = calls[0]
+    assert all(k is known for k in calls)
+    assert known.fn is run.fn
+    assert known.kept == tuple(run.context.terms.tolist())
+    assert known.groups == run.touched[2]
 
 
 @pytest.mark.parametrize(
@@ -137,3 +141,19 @@ def test_run_params_reject_values_that_are_not_integers(name, value):
 def test_run_params_accept_numpy_integers():
     params = RunParams(max_fe=np.int64(5000), p=np.int32(20), q=np.int64(4))
     assert (params.max_fe, params.p, params.q) == (5000, 20, 4)
+
+
+@pytest.mark.parametrize("max_fe", [2.5, 3.0, True, "3"])
+def test_budget_rejects_a_max_fe_that_is_not_an_integer(max_fe):
+    # unchecked, 2.5 would truncate to 2 evaluations and True allow one
+    with pytest.raises(ValueError, match=re.escape(f"max_fe must be an integer, got {max_fe!r}")):
+        FeBudget(max_fe)
+
+
+def test_budget_accepts_a_numpy_integer():
+    budget = FeBudget(np.int64(2))
+    budget.spend()
+    budget.spend()
+    assert budget.exhausted and budget.max_fe == 2
+    with pytest.raises(BudgetExhausted):
+        budget.spend()
