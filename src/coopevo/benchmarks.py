@@ -262,6 +262,8 @@ class BenchmarkFunction:
     upper: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        check_integer("seed", self.seed)
+        object.__setattr__(self, "seed", int(self.seed))
         n = sum(len(g.indices) for g in self.groups)
         check_partition([g.indices for g in self.groups], n)
         if np.shape(self.shift) != (n,):
@@ -346,7 +348,8 @@ class BenchmarkFunction:
         an integer (``bool`` is not one) in 0..n-1."""
         indices = indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
         _check_indices(indices, self.n, "variable index")
-        return tuple(np.unique(self._owner[np.asarray(indices, dtype=int)]).tolist())
+        # a set, not np.unique, which imports numpy.ma at its first call
+        return tuple(sorted(set(self._owner[np.asarray(indices, dtype=int)].tolist())))
 
     def manifest(self) -> dict:
         """Auditable description of the function (no large matrices)."""

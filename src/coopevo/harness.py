@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import importlib
 import json
 import math
 import os
+import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +54,13 @@ def _setting(text: str, default=dataclasses.MISSING):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings, checked when the config is built.
+
+    A ``sacc`` config also imports ``scipy.spatial.distance`` here, which
+    ``rbf`` otherwise loads at its first use: the import then falls in the
+    caller's set-up rather than inside the first run, and a missing scipy
+    fails before any run writes output."""
+
     functions: tuple[str, ...] = _setting("suite function id, e.g. f01 (repeatable)")
     dim: int = _setting("problem dimension (multiple of 20)")
     algorithm: str = _setting("'sacc' = surrogate-assisted CC, 'shade-cc' = full-evaluation CC")
@@ -96,6 +105,8 @@ class ExperimentConfig:
             raise ValueError(f"duplicate function ids {repeated}")
         # RunParams validates the optimizer parameters
         self.run_params()
+        if self.algorithm == "sacc":
+            importlib.import_module("scipy.spatial.distance")
 
     def run_params(self) -> RunParams:
         shared = [f.name for f in dataclasses.fields(RunParams) if f.name != "max_fe"]
@@ -127,7 +138,8 @@ class SummaryRow:
             budget=budget,
             runs=int(finals.size),
             best=float(finals.min()),
-            median=float(np.median(finals)),
+            # equal to np.median, which imports numpy.ma at its first call
+            median=float(statistics.median(finals.tolist())),
             worst=float(finals.max()),
             mean=float(finals.mean()),
             std=float(finals.std(ddof=0)),

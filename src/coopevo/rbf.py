@@ -36,15 +36,27 @@ to the next: the kernel lives as long as the model. A per-archive cache of
 the scaled rows and Phi, updated by each push, was measured bit-identical
 on f14 1000-d, but it raised peak RSS by 14% (76.4 to 87.3 MiB) and gave no
 wall-time gain on its own.
+
+The distance functions come from ``scipy.spatial.distance``, which is
+imported at the first push, training or prediction, not with this module:
+the import takes most of ``import coopevo``'s time and adds about 38 MiB of
+RSS, and ``shade-cc`` never builds a surrogate. A ``sacc``
+``ExperimentConfig`` imports it when it is built, so a ``sacc`` experiment
+pays it during set-up, before its first run.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+
+
+def _distance():
+    """``scipy.spatial.distance``, imported at the first call."""
+    return importlib.import_module("scipy.spatial.distance")
 
 
 class TrainingError(RuntimeError):
@@ -138,8 +150,9 @@ class TrainingArchive:
         # batch; the distances skip NaN coordinates where the row-by-row
         # check does not, so a non-finite row always takes the row-by-row
         # insert
-        stored = cdist(points, tail, "chebyshev")
-        within = pdist(points, "chebyshev")
+        distance = _distance()
+        stored = distance.cdist(points, tail, "chebyshev")
+        within = distance.pdist(points, "chebyshev")
         if not (np.all(stored >= DUPLICATE_TOL) and np.all(within >= DUPLICATE_TOL)
                 and np.all(np.isfinite(rows))):
             for i in range(kept, kept + b):
@@ -198,6 +211,7 @@ class RbfModel:
         found = np.array([self._center_row.get(key, -1) for key in self._row_keys(z)],
                          dtype=np.intp)
         hit = found >= 0
+        cdist = _distance().cdist
         if hit.any():
             k = np.empty((len(z), len(self.centers)))
             k[hit] = self.kernel[found[hit]]
@@ -229,7 +243,8 @@ def train_surrogate(archive: TrainingArchive) -> RbfModel:
     centers = _unit_box(archive.points, archive.lower, archive.upper)
     labels = archive.values
 
-    phi = squareform(pdist(centers) ** 3)
+    distance = _distance()
+    phi = distance.squareform(distance.pdist(centers) ** 3)
     q = np.hstack([centers, np.ones((d, 1))])
     a = np.zeros((d + s + 1, d + s + 1), order="F")
     a[:d, :d] = phi.T  # phi is exactly symmetric; .T matches a's layout

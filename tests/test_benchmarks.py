@@ -216,6 +216,19 @@ def _two_group_kwargs(base="elliptic", rotation=ROT90, **override):
     return kw
 
 
+@pytest.mark.parametrize("seed", [True, 2.5])
+def test_constructor_rejects_a_seed_that_is_not_an_integer(seed):
+    # unchecked, the manifest would record the seed as given
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        BenchmarkFunction(**_two_group_kwargs(seed=seed))
+
+
+def test_constructor_stores_a_numpy_integer_seed_as_int():
+    fn = BenchmarkFunction(**_two_group_kwargs(seed=np.int64(3)))
+    assert type(fn.seed) is int and fn.seed == 3
+    assert fn.manifest()["seed"] == 3
+
+
 @pytest.mark.parametrize(
     "override, message",
     [
@@ -395,6 +408,19 @@ def test_groups_of_lists_sorted_owner_positions():
         last, first = groups[-1][0], groups[0][-1]
         assert fn.groups_of([last, first]) == tuple(sorted({0, len(groups) - 1}))
         assert fn.groups_of(np.arange(fn.n)) == tuple(range(len(groups)))
+
+
+def test_groups_of_equals_the_unique_owner_positions():
+    # groups_of builds a set rather than call np.unique; both give the
+    # sorted distinct positions, repeated and unordered indices included
+    rng = np.random.default_rng(5)
+    for fn in small_suite():
+        owner = np.empty(fn.n, dtype=int)
+        for pos, g in enumerate(fn.groups):
+            owner[list(g.indices)] = pos
+        for size in (0, 1, 2, 7, 40, 80):
+            indices = rng.integers(0, fn.n, size)
+            assert fn.groups_of(indices) == tuple(np.unique(owner[indices]).tolist())
 
 
 @pytest.mark.parametrize("bad", [-1, 40, 1.7, True, np.True_, np.float64(3.0)])

@@ -193,6 +193,27 @@ def test_summary_matches_independent_recomputation():
     assert abs(row.std - math.sqrt(var)) <= 1e-12 * max(1.0, row.std)
 
 
+def test_summary_median_is_numpy_median():
+    # from_finals takes statistics.median, which does not import numpy.ma;
+    # it matches np.median bit for bit, ties and infinities included
+    rng = np.random.default_rng(2)
+    for size in range(1, 41):
+        for _ in range(5):
+            finals = rng.choice(rng.lognormal(0.0, 5.0, 6), size)  # ties
+            finals[rng.random(size) < 0.1] = math.inf
+            finals[rng.random(size) < 0.1] = -math.inf
+            with np.errstate(invalid="ignore"):  # inf - inf in mean and std
+                row = SummaryRow.from_finals("f01", "sacc", 100, finals)
+            assert row.median.hex() == float(np.median(finals)).hex()
+
+
+@pytest.mark.parametrize("finals", [[1.0, math.nan, 2.0], [-math.inf, math.inf]],
+                         ids=["nan-final", "nan-median"])
+def test_summary_rejects_a_nan_final_or_median(finals):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="summary ordering violated"):
+        SummaryRow.from_finals("f01", "sacc", 100, finals)
+
+
 def test_summary_rejects_bad_ordering():
     with pytest.raises(ValueError):
         SummaryRow("f", "sacc", 1, 1, best=2.0, median=1.0, worst=3.0, mean=2.0, std=0.0)

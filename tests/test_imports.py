@@ -1,6 +1,6 @@
 """Import hygiene: no module imports a name it never uses, the package's
-``__all__`` matches what it binds, and every name the benchmark's tracer
-wraps still exists.
+``__all__`` matches what it binds, every name the benchmark's tracer
+wraps still exists, and only the surrogate path loads ``scipy.spatial``.
 
 A standard-library stand-in for a linter's unused-import rule. Names listed
 in a module's ``__all__`` count as used (re-exports), and ``from __future__``
@@ -9,6 +9,9 @@ imports are compiler directives, so they are skipped.
 
 import ast
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -100,3 +103,48 @@ def test_perfbench_patch_points_exist(monkeypatch):
         sys.modules.pop("layers", None)
         sys.modules.pop("spans", None)
     assert (shade.mutate_crossover, vars(surrogate_cc.SurrogateCC)["step"]) == originals
+
+
+# Each case runs in a fresh interpreter, with BLAS pinned to one thread, and
+# reports the modules it ended with. shade-cc never trains a surrogate, so
+# its paths load neither scipy.spatial nor numpy.ma (which np.unique and
+# np.median import at their first call).
+SHADE_CC_PATHS = {
+    "import": "import coopevo",
+    "run": (
+        "from coopevo import harness\n"
+        "harness.run_experiment(harness.ExperimentConfig(\n"
+        "    functions=('f01',), dim=20, algorithm='shade-cc', budget=300, runs=2))"
+    ),
+    "help": (
+        "import contextlib, io\n"
+        "from coopevo import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    cli.main(['--help'])"
+    ),
+}
+
+
+def modules_after(code: str, tmp_path) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COOPEVO_OUTDIR=str(tmp_path / "out"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("case", SHADE_CC_PATHS)
+def test_shade_cc_paths_load_neither_scipy_spatial_nor_numpy_ma(case, tmp_path):
+    loaded = modules_after(SHADE_CC_PATHS[case], tmp_path)
+    assert "coopevo.rbf" in loaded
+    assert not {"scipy.spatial", "numpy.ma"} & loaded
+
+
+def test_a_sacc_config_loads_the_distance_functions(tmp_path):
+    code = (
+        "from coopevo import harness\n"
+        "harness.ExperimentConfig(functions=('f01',), dim=20, algorithm='sacc', budget=300)"
+    )
+    assert "scipy.spatial.distance" in modules_after(code, tmp_path)

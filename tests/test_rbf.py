@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -499,7 +500,8 @@ def test_prediction_of_training_samples_reuses_kernel_rows(monkeypatch):
     arch = surrogate_archive(5, "random")
     model = train_surrogate(arch)
     rows = []
-    monkeypatch.setattr(rbf, "cdist", lambda z, c: rows.append(len(z)) or cdist(z, c))
+    counted = SimpleNamespace(cdist=lambda z, c: rows.append(len(z)) or cdist(z, c))
+    monkeypatch.setattr(rbf, "_distance", lambda: counted)
     model.predict_batch(arch.points[::-1].copy())
     model.predict_batch(np.concatenate([arch.points[:4], np.full((2, 5), 0.25)]))
     assert rows == [0, 2]  # distances only for the rows that are not centers
