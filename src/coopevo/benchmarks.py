@@ -147,11 +147,23 @@ BASES = {
 }
 
 
-def check_integer(name: str, value) -> None:
-    """Raise a ``ValueError`` that names ``value`` unless it is an integer:
-    ``bool`` is an int subclass and does not count; numpy integers do."""
-    if type(value) is bool or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_integer(name: str, value, low: int | None = None, high: int | None = None) -> None:
+    """Raise a ``ValueError`` that names ``value`` unless it is an integer
+    in ``low..high`` (``None`` leaves that end open): ``bool`` is an int
+    subclass and does not count; numpy integers do. The one integer test of
+    the package."""
+    if (type(value) is bool or not isinstance(value, (int, np.integer))
+            or (low is not None and value < low) or (high is not None and value > high)):
+        span = (f" in {low}..{high}" if high is not None
+                else f" >= {low}" if low is not None else "")
+        raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+
+
+def check_dim(dim) -> None:
+    """Raise unless ``dim`` is a suite dimension: a positive multiple of 20."""
+    check_integer("dim", dim)
+    if dim < 20 or dim % 20 != 0:
+        raise ValueError("dim must be a positive multiple of 20")
 
 
 def check_partition(groups, n: int) -> None:
@@ -163,10 +175,8 @@ def check_partition(groups, n: int) -> None:
         grp = grp.tolist() if isinstance(grp, np.ndarray) else grp
         if not grp:
             raise ValueError("empty group")
-        for kind in set(map(type, grp)):
-            if kind is bool or not issubclass(kind, (int, np.integer)):
-                entry = next(i for i in grp if type(i) is kind)
-                raise ValueError(f"group entry {entry!r} is not an integer")
+        for i in grp:
+            check_integer("group entry", i)
         members = set(grp)
         if len(members) != len(grp):
             repeated = next(i for k, i in enumerate(grp) if i in grp[:k])
@@ -218,14 +228,6 @@ def _box(groups) -> tuple[np.ndarray, np.ndarray]:
         idx = list(g.indices)
         lower[idx], upper[idx] = BASE_BOUNDS[g.base]
     return lower, upper
-
-
-def _check_indices(values, stop: int, what: str) -> None:
-    """Raise unless every entry of ``values`` is an integer (``bool`` is not
-    one) in 0..stop-1."""
-    for i in values:
-        if type(i) is bool or not isinstance(i, (int, np.integer)) or not 0 <= i < stop:
-            raise ValueError(f"{what} {i!r} is not an integer in 0..{stop - 1}")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -322,7 +324,8 @@ class BenchmarkFunction:
         if kept.shape != (k,):
             raise ValueError(f"expected {k} known terms, got shape {kept.shape}")
         groups = groups.tolist() if isinstance(groups, np.ndarray) else list(groups)
-        _check_indices(groups, k, "group position")
+        for pos in groups:
+            check_integer("group position", pos, 0, k - 1)
         return KnownTerms(tuple(kept.tolist()), tuple(map(int, groups)), self)
 
     def _values(self, x: np.ndarray, known: KnownTerms | None) -> list:
@@ -347,7 +350,8 @@ class BenchmarkFunction:
         """Sorted positions of the groups that own any of ``indices``, each
         an integer (``bool`` is not one) in 0..n-1."""
         indices = indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
-        _check_indices(indices, self.n, "variable index")
+        for i in indices:
+            check_integer("variable index", i, 0, self.n - 1)
         # a set, not np.unique, which imports numpy.ma at its first call
         return tuple(sorted(set(self._owner[np.asarray(indices, dtype=int)].tolist())))
 
@@ -475,10 +479,8 @@ def get_function(fid: str, dim: int, seed: int) -> BenchmarkFunction:
     """Build a single suite member by id ('f01' .. 'f18')."""
     if fid not in _SUITE_LAYOUT:
         raise ValueError(f"unknown function id {fid!r}")
-    check_integer("dim", dim)
+    check_dim(dim)
     check_integer("seed", seed)
-    if dim < 20 or dim % 20 != 0:
-        raise ValueError("dim must be a positive multiple of 20")
     sep_base, nonsep_base, n_groups, weight = _SUITE_LAYOUT[fid]
     return build_function(fid, dim, seed, sep_base, nonsep_base, n_groups, dim // 20, weight)
 

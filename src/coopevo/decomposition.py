@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import BenchmarkFunction, check_partition
+from .benchmarks import BenchmarkFunction, check_integer, check_partition
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ def ideal_decompose(fn: BenchmarkFunction, s_sep: int) -> Decomposition:
     in table order. Bounds come from ``fn.lower`` and ``fn.upper``.
     Deterministic.
     """
-    if type(s_sep) is bool or not isinstance(s_sep, (int, np.integer)) or s_sep < 1:
-        raise ValueError(f"s_sep {s_sep!r} is not an integer >= 1")
+    check_integer("s_sep", s_sep, 1)
 
     subs: list[SubProblem] = []
 

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmarks import FUNCTION_IDS, BenchmarkFunction, get_function
+from .benchmarks import FUNCTION_IDS, BenchmarkFunction, check_dim, check_integer, get_function
 from .decomposition import Decomposition, ideal_decompose
 from .runtime import RunParams, RunRecord, write_table
 from .shade_cc import ShadeCC
@@ -47,9 +47,11 @@ ALGORITHMS = tuple(OPTIMIZERS)
 OUTDIR_ENV = "COOPEVO_OUTDIR"
 
 
-def _setting(text: str, default=dataclasses.MISSING):
-    """A config field carrying its one-line CLI help."""
-    return dataclasses.field(default=default, metadata={"help": text})
+def _setting(text: str, default=dataclasses.MISSING, low: int | None = None):
+    """A config field carrying its one-line CLI help and, for an integer
+    setting, its least value here (``None``: the setting is bounded by
+    ``RunParams`` or ``check_dim``, or not at all)."""
+    return dataclasses.field(default=default, metadata={"help": text, "low": low})
 
 
 @dataclass(frozen=True)
@@ -65,33 +67,31 @@ class ExperimentConfig:
     dim: int = _setting("problem dimension (multiple of 20)")
     algorithm: str = _setting("'sacc' = surrogate-assisted CC, 'shade-cc' = full-evaluation CC")
     budget: int = _setting("maximum real evaluations per run")
-    runs: int = _setting("independent runs per function", 25)
-    seed: int = _setting("base seed; runs use seed..seed+runs-1", 1)
-    s_sep: int = _setting("sub-problem size for separable variables", 20)
+    runs: int = _setting("independent runs per function", 25, low=1)
+    seed: int = _setting("base seed; runs use seed..seed+runs-1", 1, low=0)
+    s_sep: int = _setting("sub-problem size for separable variables", 20, low=1)
     p: int = _setting("population size per sub-problem", RunParams.p)
     q: int = _setting("trials re-evaluated per generation, sacc", RunParams.q)
     d_factor: int = _setting("surrogate archive rows per sub-problem variable", RunParams.d_factor)
     memory_size: int = _setting("success-history memory entries", RunParams.memory_size)
     visit_len: int = _setting("generations per sub-problem visit, shade-cc", RunParams.visit_len)
-    suite_seed: int = _setting("seed for benchmark shift/rotation synthesis", 1)
+    suite_seed: int = _setting("seed for benchmark shift/rotation synthesis", 1, low=0)
     out: str = _setting(f"output directory; {OUTDIR_ENV} overrides it", "results")
 
     def __post_init__(self):
-        # a config file can carry any JSON type; bool is an int subclass
+        # a config file can carry any JSON type; an integer is stored as an
+        # int, so a numpy integer passed in still echoes into the manifest
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "int":
+                check_integer(f.name, value, f.metadata["low"])
+                object.__setattr__(self, f.name, int(value))
             if f.type == "str" and not isinstance(value, str):
                 raise ValueError(f"{f.name} must be a string, got {value!r}")
         object.__setattr__(self, "out", os.environ.get(OUTDIR_ENV, self.out))
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        for name in ("seed", "suite_seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        check_dim(self.dim)
         if not isinstance(self.functions, (list, tuple)):
             raise ValueError(f"functions must be a list of ids, got {self.functions!r}")
         object.__setattr__(self, "functions", tuple(self.functions))
@@ -156,16 +156,17 @@ def mean_curve(records: list[RunRecord]) -> np.ndarray:
     """Cross-run mean/std of the traced fitness on the shared FE grid.
 
     Runs of one config follow an identical evaluation schedule, so rows
-    align one-to-one. Returns an array of (fe, mean_fv, std_fv) rows.
+    align one-to-one; runs whose ``fe_used`` columns differ, in length or
+    in value, raise a ``ValueError``. Returns an array of (fe, mean_fv, std_fv) rows.
     """
     if not records:
         raise ValueError("no traces to aggregate")
-    lengths = {len(r.rows) for r in records}
-    if len(lengths) != 1:
-        raise ValueError("trace lengths differ; runs are not aligned")
-    fes = np.array([row.fe_used for row in records[0].rows], dtype=float)
+    fes = [[row.fe_used for row in rec.rows] for rec in records]
+    if any(fe != fes[0] for fe in fes):
+        raise ValueError("fe_used columns differ; runs are not aligned")
     values = np.array([[row.f_best for row in rec.rows] for rec in records])
-    return np.column_stack([fes, values.mean(axis=0), values.std(axis=0, ddof=0)])
+    return np.column_stack([np.array(fes[0], dtype=float), values.mean(axis=0),
+                            values.std(axis=0, ddof=0)])
 
 
 CONVERGENCE_HEADER = ["fe", "mean_fv", "std_fv"]

@@ -53,6 +53,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .benchmarks import check_integer
+
 
 def _distance():
     """``scipy.spatial.distance``, imported at the first call."""
@@ -90,8 +92,7 @@ class TrainingArchive:
     """
 
     def __init__(self, capacity: int, lower: np.ndarray, upper: np.ndarray):
-        if type(capacity) is bool or not isinstance(capacity, (int, np.integer)) or capacity < 1:
-            raise ValueError(f"capacity {capacity!r} is not an integer >= 1")
+        check_integer("capacity", capacity, 1)
         self.capacity = capacity
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)

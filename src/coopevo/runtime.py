@@ -59,9 +59,7 @@ class FeBudget:
     """Strict counter of real fitness evaluations."""
 
     def __init__(self, max_fe: int):
-        check_integer("max_fe", max_fe)
-        if max_fe < 1:
-            raise ValueError("max_fe must be >= 1")
+        check_integer("max_fe", max_fe, 1)
         self.max_fe = int(max_fe)
         self.used = 0
 
@@ -101,20 +99,9 @@ class RunParams:
     visit_len: int = 100
 
     def __post_init__(self):
+        check_integer("p", self.p, 4)
         for f in fields(self):
-            check_integer(f.name, getattr(self, f.name))
-        if self.p < 4:
-            raise ValueError("population size must be >= 4")
-        if not 1 <= self.q <= self.p:
-            raise ValueError("q must be in 1..p")
-        if self.d_factor < 1:
-            raise ValueError("d_factor must be >= 1")
-        if self.memory_size < 1:
-            raise ValueError("memory_size must be >= 1")
-        if self.visit_len < 1:
-            raise ValueError("visit_len must be >= 1")
-        if self.max_fe < 1:
-            raise ValueError("max_fe must be >= 1")
+            check_integer(f.name, getattr(self, f.name), 1, self.p if f.name == "q" else None)
 
 
 @dataclass(frozen=True)

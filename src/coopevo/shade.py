@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .benchmarks import check_integer
 from .decomposition import SubProblem
 
 PBEST_MAX_FRAC = 0.2
@@ -33,8 +34,7 @@ class ParameterMemory:
     """
 
     def __init__(self, size: int):
-        if size < 1:
-            raise ValueError("memory size must be >= 1")
+        check_integer("memory size", size, 1)
         self.f = np.full(size, 0.5)
         self.cr = np.full(size, 0.5)
         self.index = 0

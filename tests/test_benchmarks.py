@@ -15,6 +15,7 @@ from coopevo.benchmarks import (
     BenchmarkFunction,
     Group,
     build_function,
+    check_integer,
     get_function,
     make_separable,
     make_suite,
@@ -172,6 +173,25 @@ def test_make_suite_rejects_bad_dimension():
         get_function("f99", 40, seed=1)
 
 
+@pytest.mark.parametrize(
+    "value, low, high, span",
+    [(2.5, None, None, ""), (True, None, None, ""), (np.True_, None, None, ""),
+     ("3", 0, None, " >= 0"), (0, 1, None, " >= 1"), (-1, 0, 9, " in 0..9"),
+     (np.int64(10), 0, 9, " in 0..9"), (3.0, 0, 9, " in 0..9")],
+)
+def test_check_integer_names_the_value_and_its_range(value, low, high, span):
+    message = f"x must be an integer{span}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_integer("x", value, low, high)
+
+
+@pytest.mark.parametrize("value", [0, 9, np.int64(5), np.uint8(9), np.int32(0)])
+def test_check_integer_accepts_integers_in_range(value):
+    check_integer("x", value)
+    check_integer("x", value, 0)
+    check_integer("x", value, 0, 9)
+
+
 @pytest.mark.parametrize("dim", [40.0, 2.5, True, "40"])
 def test_builders_reject_a_dim_that_is_not_an_integer(dim):
     # unchecked, 40.0 and 2.5 would fail inside numpy with an AxisError
@@ -263,7 +283,8 @@ def test_structure_rejects_repeated_index_in_one_group():
 
 @pytest.mark.parametrize("entry", [1.5, True], ids=["float", "bool"])
 def test_structure_rejects_non_integer_entry(entry):
-    with pytest.raises(ValueError, match=f"group entry {entry!r} is not an integer"):
+    message = re.escape(f"group entry must be an integer, got {entry!r}")
+    with pytest.raises(ValueError, match=message):
         BenchmarkFunction("entry-2d", np.zeros(2), (Group((0, entry), "sphere"),), 0)
 
 
@@ -428,7 +449,7 @@ def test_groups_of_rejects_entries_that_are_not_variable_indices(bad):
     # a negative entry would wrap to the owner of variable 39, a float or
     # bool one would truncate to the owner of variable 1 or 3
     fn = get_function("f09", 40, seed=1)
-    message = re.escape(f"variable index {bad!r} is not an integer in 0..39")
+    message = re.escape(f"variable index must be an integer in 0..39, got {bad!r}")
     with pytest.raises(ValueError, match=message):
         fn.groups_of([2, bad])
     with pytest.raises(ValueError, match="variable index"):
@@ -443,7 +464,7 @@ def test_known_terms_reject_positions_that_are_not_group_positions(bad):
     fn = get_function("f09", 40, seed=1)  # eleven groups
     x = fn.shift.copy()
     kept = fn.terms(x)
-    message = re.escape(f"group position {bad!r} is not an integer in 0..10")
+    message = re.escape(f"group position must be an integer in 0..10, got {bad!r}")
     with pytest.raises(ValueError, match=message):
         fn.known(kept, (0, bad))
     with pytest.raises(ValueError, match=message):

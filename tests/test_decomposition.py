@@ -53,7 +53,7 @@ def test_decomposition_validates_partition():
         Decomposition((sub_a, sub_b), 4)
     # float indices would otherwise fail later, in embed
     floats = SubProblem(0, np.array([0.0, 1.0]), bounds[0][:2], bounds[1][:2])
-    with pytest.raises(ValueError, match="group entry 0.0 is not an integer"):
+    with pytest.raises(ValueError, match=re.escape("group entry must be an integer, got 0.0")):
         Decomposition((floats,), 2)
 
 
@@ -79,7 +79,8 @@ def test_ideal_decompose_rejects_non_integer_s_sep(s_sep):
     # 2.5 would fail inside range() with a TypeError, True would give
     # chunks of one variable
     fn = make_separable("sphere", 10, seed=1)
-    with pytest.raises(ValueError, match=re.escape(f"s_sep {s_sep!r} is not an integer >= 1")):
+    message = re.escape(f"s_sep must be an integer >= 1, got {s_sep!r}")
+    with pytest.raises(ValueError, match=message):
         ideal_decompose(fn, s_sep)
 
 

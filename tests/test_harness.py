@@ -154,6 +154,17 @@ def test_mean_curve_hand_computed_average():
     assert curve[:, 2].tolist() == [2.0, 2.0]
 
 
+def test_mean_curve_rejects_misaligned_runs():
+    # averaging rows taken at different fe would label the mean with the
+    # first run's fe
+    a = fake_record(1, [(1, 4.0), (101, 2.0)])
+    message = re.escape("fe_used columns differ; runs are not aligned")
+    with pytest.raises(ValueError, match=message):
+        mean_curve([a, fake_record(2, [(1, 8.0), (201, 6.0)])])
+    with pytest.raises(ValueError, match=message):
+        mean_curve([a, fake_record(2, [(1, 8.0)])])
+
+
 def test_export_convergence_schema(tmp_path):
     a = fake_record(1, [(10, 4.0), (20, 2.0)])
     path = export_convergence([a], tmp_path / "curve.csv")
@@ -234,14 +245,42 @@ def test_config_validation():
         tiny_config(functions="f01")        # a bare string, not a list of ids
     with pytest.raises(ValueError):
         tiny_config(functions=("f01", "f99"))
-    with pytest.raises(ValueError, match="seed"):
+    with pytest.raises(ValueError, match=re.escape("seed must be an integer >= 0, got -1")):
         tiny_config(seed=-1)
-    with pytest.raises(ValueError, match="suite_seed"):
+    with pytest.raises(ValueError, match=re.escape("suite_seed must be an integer >= 0, got -3")):
         tiny_config(suite_seed=-3)
     with pytest.raises(ValueError, match="^algorithm must be a string"):
         tiny_config(algorithm=1)
     with pytest.raises(ValueError, match=re.escape("duplicate function ids ['f01']")):
         tiny_config(functions=("f01", "f05", "f01"))
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [({"runs": 0}, "runs must be an integer >= 1, got 0"),
+     ({"s_sep": 0}, "s_sep must be an integer >= 1, got 0"),
+     ({"budget": np.float64(600.0)}, "budget must be an integer, got np.float64(600.0)"),
+     ({"dim": 30}, "dim must be a positive multiple of 20"),
+     ({"dim": 0}, "dim must be a positive multiple of 20")],
+    ids=["runs", "s_sep", "budget", "dim-30", "dim-0"],
+)
+def test_config_rejects_bad_settings_when_built(setting, message):
+    # s_sep and dim would otherwise fail only when run_experiment builds
+    # the problem
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tiny_config(**setting)
+
+
+def test_config_stores_numpy_integers_as_ints(tmp_path):
+    ints = dict(dim=np.int64(20), budget=np.int64(600), runs=np.int32(1), seed=np.int64(3),
+                s_sep=np.int64(5), p=np.int64(25), q=np.int16(5), suite_seed=np.uint8(1))
+    config = tiny_config(out=str(tmp_path), **ints)
+    for name, value in ints.items():
+        stored = getattr(config, name)
+        assert type(stored) is int and stored == value
+    run_experiment(config)
+    manifest = json.loads((tmp_path / "f01" / "sacc" / "manifest.json").read_text())
+    assert manifest["config"]["budget"] == 600 and manifest["seeds"] == [3]
 
 
 def test_run_experiment_writes_complete_output(tmp_path):

@@ -1,6 +1,7 @@
 """Import hygiene: no module imports a name it never uses, the package's
 ``__all__`` matches what it binds, every name the benchmark's tracer
-wraps still exists, and only the surrogate path loads ``scipy.spatial``.
+wraps still exists, only the surrogate path loads ``scipy.spatial``, and
+``benchmarks.check_integer`` is the package's one integer test.
 
 A standard-library stand-in for a linter's unused-import rule. Names listed
 in a module's ``__all__`` count as used (re-exports), and ``from __future__``
@@ -11,6 +12,7 @@ import ast
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +105,29 @@ def test_perfbench_patch_points_exist(monkeypatch):
         sys.modules.pop("layers", None)
         sys.modules.pop("spans", None)
     assert (shade.mutate_crossover, vars(surrogate_cc.SurrogateCC)["step"]) == originals
+
+
+# the spellings of "an integer, bool excluded, numpy integers accepted"
+INTEGER_TEST = re.compile(r"\bis bool\b|isinstance\(.*\bbool\b|np\.integer")
+
+
+def test_check_integer_is_the_only_integer_test():
+    found, owners = [], []
+    for path in sorted((ROOT / "src/coopevo").glob("*.py")):
+        source = path.read_text()
+        spans = [
+            (node.lineno, node.end_lineno)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == "check_integer"
+        ]
+        owners += [path.name] * len(spans)
+        found += [
+            f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+            for number, line in enumerate(source.splitlines(), 1)
+            if INTEGER_TEST.search(line) and not any(a <= number <= b for a, b in spans)
+        ]
+    assert owners == ["benchmarks.py"]
+    assert found == []
 
 
 # Each case runs in a fresh interpreter, with BLAS pinned to one thread, and

@@ -235,7 +235,8 @@ def test_archive_rejects_bounds_that_are_not_one_dimensional():
 
 @pytest.mark.parametrize("capacity", [2.5, True, 0, -3, "6"])
 def test_archive_rejects_a_capacity_that_is_not_a_positive_integer(capacity):
-    with pytest.raises(ValueError, match=re.escape(f"capacity {capacity!r}")):
+    message = re.escape(f"capacity must be an integer >= 1, got {capacity!r}")
+    with pytest.raises(ValueError, match=message):
         TrainingArchive(capacity, [0.0], [1.0])
 
 

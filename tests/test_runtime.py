@@ -134,7 +134,9 @@ def test_evaluate_rows_makes_one_evaluate_call_with_known_terms_per_row(b, max_f
      ("max_fe", 5000.0)],
 )
 def test_run_params_reject_values_that_are_not_integers(name, value):
-    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+    span = {"p": ">= 4", "q": "in 1..20"}.get(name, ">= 1")
+    message = re.escape(f"{name} must be an integer {span}, got {value!r}")
+    with pytest.raises(ValueError, match=message):
         RunParams(**{"max_fe": 5000, "p": 20, name: value})
 
 
@@ -146,7 +148,8 @@ def test_run_params_accept_numpy_integers():
 @pytest.mark.parametrize("max_fe", [2.5, 3.0, True, "3"])
 def test_budget_rejects_a_max_fe_that_is_not_an_integer(max_fe):
     # unchecked, 2.5 would truncate to 2 evaluations and True allow one
-    with pytest.raises(ValueError, match=re.escape(f"max_fe must be an integer, got {max_fe!r}")):
+    message = re.escape(f"max_fe must be an integer >= 1, got {max_fe!r}")
+    with pytest.raises(ValueError, match=message):
         FeBudget(max_fe)
 
 

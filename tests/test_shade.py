@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,18 @@ class ScriptedRng:
 
 def count_draws(rng, name):
     return [n for method, n in rng.calls if method == name]
+
+
+@pytest.mark.parametrize("size", [True, 2.5, 0, np.float64(3.0)])
+def test_memory_rejects_a_size_that_is_not_a_positive_integer(size):
+    # True would make a one-entry memory; 2.5 failed inside np.full
+    message = re.escape(f"memory size must be an integer >= 1, got {size!r}")
+    with pytest.raises(ValueError, match=message):
+        ParameterMemory(size)
+
+
+def test_memory_accepts_a_numpy_integer_size():
+    assert ParameterMemory(np.int64(3)).size == 3
 
 
 # --- control parameter sampling -------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,21 @@ def test_audit_catches_a_corrupted_kept_term():
     with pytest.raises(AuditFailure, match=rf"kept context terms of groups \[{pos}\]"):
         for _ in range(decomp.k - 1):
             opt.step()
+
+
+@pytest.mark.xfail(strict=True, raises=AuditFailure,
+                   reason="stored improvements go stale on a split ackley group (ROADMAP item 12)")
+@pytest.mark.parametrize("fid", ["f03", "f06", "f11"])
+def test_audit_passes_on_a_split_ackley_group(fid):
+    # the separable ackley group is one term that ideal_decompose chunks
+    # across sub-problems, so another sub-problem's adoption changes what a
+    # stored improvement is worth; the audit reports "stored improvement of
+    # sub-problem 1 drifted by" 1.8e-3, 1.0e-2 and 1.4e-1
+    fn = get_function(fid, 40, 1)
+    decomp = ideal_decompose(fn, 5)
+    params = RunParams(max_fe=1, p=20, q=4, d_factor=5)
+    params = replace(params, max_fe=initialization_cost(decomp, params) + 1500)
+    SurrogateCC(fn, decomp, params, seed=3, audit=True).run()
 
 
 def test_step_with_stub_predictor_skips_training():
