@@ -159,6 +159,19 @@ def check_integer(name: str, value, low: int | None = None, high: int | None = N
         raise ValueError(f"{name} must be an integer{span}, got {value!r}")
 
 
+def float_array(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array, or a ``ValueError`` naming ``name`` and
+    both shapes unless its shape matches ``shape``, where ``None`` matches
+    any length. The one array-shape check of the package."""
+    a = np.asarray(value, dtype=float)
+    if a.shape != shape and (a.ndim != len(shape) or any(
+            n is not None and n != m for n, m in zip(shape, a.shape))):
+        # printed as a tuple: (5,), (any, 3)
+        want = ", ".join("any" if n is None else str(n) for n in shape) + "," * (len(shape) == 1)
+        raise ValueError(f"{name} must have shape ({want}), got {a.shape}")
+    return a
+
+
 def check_dim(dim) -> None:
     """Raise unless ``dim`` is a suite dimension: a positive multiple of 20."""
     check_integer("dim", dim)
@@ -268,8 +281,7 @@ class BenchmarkFunction:
         object.__setattr__(self, "seed", int(self.seed))
         n = sum(len(g.indices) for g in self.groups)
         check_partition([g.indices for g in self.groups], n)
-        if np.shape(self.shift) != (n,):
-            raise ValueError("shift must have shape (n,)")
+        object.__setattr__(self, "shift", float_array("shift", self.shift, (n,)))
         lower, upper = _box(self.groups)
         if not (np.all(self.shift > lower) and np.all(self.shift < upper)):
             raise ValueError("shift must lie strictly inside bounds")
@@ -279,8 +291,7 @@ class BenchmarkFunction:
             rot = g.rotation
             if rot is not None:
                 m = len(g.indices)
-                if np.shape(rot) != (m, m):
-                    raise ValueError("rotation shape does not match group size")
+                rot = float_array("rotation", rot, (m, m))
                 err = np.max(np.abs(rot.T @ rot - np.eye(m)))
                 if err > 1e-10:
                     raise ValueError(f"rotation not orthogonal (err={err:.2e})")
@@ -320,9 +331,7 @@ class BenchmarkFunction:
         ``groups_of``) must hold integers, not ``bool``, in 0..k-1. Checked
         once here, so a batch of points can share one ``KnownTerms``."""
         k = len(self._terms)
-        kept = np.asarray(terms, dtype=float)
-        if kept.shape != (k,):
-            raise ValueError(f"expected {k} known terms, got shape {kept.shape}")
+        kept = float_array("terms", terms, (k,))
         groups = groups.tolist() if isinstance(groups, np.ndarray) else list(groups)
         for pos in groups:
             check_integer("group position", pos, 0, k - 1)
@@ -332,9 +341,7 @@ class BenchmarkFunction:
         """``terms(x, known)`` as a list of floats, the one path of both
         ``terms`` and ``evaluate``: the kept terms are copied as a list, so
         a partial evaluation copies no array."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
+        x = float_array("x", x, (self.n,))
         if known is None:
             return [float(term.term(x)) for term in self._terms]
         if type(known) is not KnownTerms:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import BenchmarkFunction, check_integer, check_partition
+from .benchmarks import BenchmarkFunction, check_integer, check_partition, float_array
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,9 @@ class SubProblem:
     def __post_init__(self):
         if self.indices.size < 1:
             raise ValueError("sub-problem must own at least one variable")
-        if self.lower.shape != self.indices.shape or self.upper.shape != self.indices.shape:
-            raise ValueError("bounds must match index count")
+        for name in ("lower", "upper"):
+            bound = float_array(name, getattr(self, name), self.indices.shape)
+            object.__setattr__(self, name, bound)
 
     @property
     def s(self) -> int:
@@ -91,9 +92,7 @@ def ideal_decompose(fn: BenchmarkFunction, s_sep: int) -> Decomposition:
 def embed(context: np.ndarray, sub: SubProblem, x_g: np.ndarray) -> np.ndarray:
     """Complete solution equal to ``context`` with ``sub``'s positions
     replaced by ``x_g``. The context itself is left untouched."""
-    x_g = np.asarray(x_g, dtype=float)
-    if x_g.shape != (sub.s,):
-        raise ValueError(f"expected sub-vector of length {sub.s}, got shape {x_g.shape}")
+    x_g = float_array("x_g", x_g, (sub.s,))
     out = np.array(context, dtype=float, copy=True)
     out[sub.indices] = x_g
     return out

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .benchmarks import BenchmarkFunction, check_integer
+from .benchmarks import BenchmarkFunction, check_integer, float_array
 from .decomposition import Decomposition, SubProblem, embed
 from .shade import ParameterMemory, SubState
 
@@ -146,8 +146,8 @@ class RunRecord:
 class CooperativeRun:
     """Scaffolding of one seeded cooperative-coevolution run.
 
-    Owns everything both optimizers share: the dimension and budget checks,
-    the evaluation budget, the seed streams (``rng`` for the run,
+    Owns everything both optimizers share: the seed, dimension and budget
+    checks, the evaluation budget, the seed streams (``rng`` for the run,
     ``sub_rngs[g]`` per sub-problem), the charged random context vector, the
     seeding of each sub-problem's ``SubState`` (``new_sub``), the one charged
     row evaluator ``evaluate_rows``, the round-robin ``cursor``, the
@@ -164,6 +164,7 @@ class CooperativeRun:
         params: RunParams,
         seed: int,
     ):
+        check_integer("seed", seed, 0)
         if decomposition.n != fn.n:
             raise ValueError("decomposition does not match function dimension")
         need = self.min_budget(decomposition, params)
@@ -172,10 +173,10 @@ class CooperativeRun:
         self.fn = fn
         self.decomposition = decomposition
         self.params = params
-        self.seed = seed
+        self.seed = int(seed)
         self.budget = FeBudget(params.max_fe)
 
-        streams = np.random.SeedSequence(seed).spawn(decomposition.k + 1)
+        streams = np.random.SeedSequence(self.seed).spawn(decomposition.k + 1)
         self.rng = np.random.default_rng(streams[0])
         self.sub_rngs = [np.random.default_rng(s) for s in streams[1:]]
 
@@ -188,7 +189,7 @@ class CooperativeRun:
 
         self.cursor = 0
         self.generation = 0
-        self.record = RunRecord(seed=seed)
+        self.record = RunRecord(seed=self.seed)
 
     @staticmethod
     def min_budget(decomposition: Decomposition, params: RunParams) -> int:
@@ -232,9 +233,7 @@ class CooperativeRun:
         batch, so the terms and group positions are checked once per batch,
         not once per row. One call per row is also how perfbench's traced
         run counts charged evaluations."""
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != sub.s:
-            raise ValueError(f"expected rows of length {sub.s}, got shape {rows.shape}")
+        rows = float_array("rows", rows, (None, sub.s))
         known = self.fn.known(self.context.terms, self.touched[sub.sid])
         x, idx = self.context.x.copy(), sub.indices
         f = []

@@ -16,6 +16,7 @@ from coopevo.benchmarks import (
     Group,
     build_function,
     check_integer,
+    float_array,
     get_function,
     make_separable,
     make_suite,
@@ -192,6 +193,34 @@ def test_check_integer_accepts_integers_in_range(value):
     check_integer("x", value, 0, 9)
 
 
+@pytest.mark.parametrize(
+    "value, shape, want",
+    [
+        (np.zeros(3), (4,), "(4,)"),
+        (np.zeros((2, 3)), (3,), "(3,)"),
+        (0.0, (None,), "(any,)"),
+        (np.zeros((2, 2)), (None,), "(any,)"),
+        ([[1.0, 2.0]], (None, 3), "(any, 3)"),
+        (np.zeros((2, 3, 4)), (2, None), "(2, any)"),
+        (np.zeros((2, 3)), (3, 2), "(3, 2)"),
+    ],
+)
+def test_float_array_names_the_value_and_both_shapes(value, shape, want):
+    message = f"v must have shape {want}, got {np.shape(value)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        float_array("v", value, shape)
+
+
+def test_float_array_returns_a_float_array_of_the_given_shape():
+    x = np.arange(6.0).reshape(2, 3)
+    assert float_array("x", x, (2, 3)) is x  # a float array passes through
+    assert float_array("x", x, (None, 3)) is x
+    got = float_array("x", [[1, 2, 3]], (None, 3))
+    assert got.dtype == float and got.tolist() == [[1.0, 2.0, 3.0]]
+    assert float_array("x", np.empty((0, 3)), (None, 3)).shape == (0, 3)
+    assert float_array("x", 2, ()).shape == ()
+
+
 @pytest.mark.parametrize("dim", [40.0, 2.5, True, "40"])
 def test_builders_reject_a_dim_that_is_not_an_integer(dim):
     # unchecked, 40.0 and 2.5 would fail inside numpy with an AxisError
@@ -253,10 +282,10 @@ def test_constructor_stores_a_numpy_integer_seed_as_int():
     "override, message",
     [
         (dict(base="nope"), "unknown base 'nope'"),
-        (dict(rotation=np.eye(3)), "rotation shape"),
+        (dict(rotation=np.eye(3)), re.escape("rotation must have shape (2, 2), got (3, 3)")),
         (dict(rotation=2.0 * np.eye(2)), "not orthogonal"),
-        (dict(shift=np.zeros(1)), r"shift must have shape \(n,\)"),
-        (dict(shift=np.zeros((4, 4))), r"shift must have shape \(n,\)"),
+        (dict(shift=np.zeros(1)), re.escape("shift must have shape (4,), got (1,)")),
+        (dict(shift=np.zeros((4, 4))), re.escape("shift must have shape (4,), got (4, 4)")),
         (dict(shift=np.full(4, 100.0)), "shift must lie strictly inside bounds"),
         (dict(groups=(Group((0, 1), "sphere"), Group((3, 4), "sphere"))),
          "groups do not cover"),
@@ -401,9 +430,9 @@ def test_one_dim_dot_equals_the_stacked_row():
 
 def test_evaluate_rejects_wrong_length():
     fn = small_suite()[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("x must have shape (40,), got (41,)")):
         fn(np.zeros(fn.n + 1))
-    with pytest.raises(ValueError, match=f"expected vector of length {fn.n}"):
+    with pytest.raises(ValueError, match=re.escape("x must have shape (40,), got (39,)")):
         fn.terms(np.zeros(fn.n - 1))
 
 
@@ -412,12 +441,13 @@ def test_known_terms_reject_wrong_length_like_the_full_path():
     x = fn.shift.copy()
     known = fn.known(fn.terms(x), fn.groups_of([0]))
     for bad in (np.zeros(fn.n + 1), np.zeros(fn.n - 1), np.zeros((1, fn.n))):
-        with pytest.raises(ValueError, match=f"expected vector of length {fn.n}") as full:
+        message = re.escape(f"x must have shape (40,), got {bad.shape}")
+        with pytest.raises(ValueError, match=message) as full:
             fn.evaluate(bad)
-        with pytest.raises(ValueError, match=f"expected vector of length {fn.n}") as delta:
+        with pytest.raises(ValueError, match=message) as delta:
             fn.evaluate(bad, known=known)
         assert str(delta.value) == str(full.value)
-    with pytest.raises(ValueError, match=re.escape("expected 20 known terms, got shape (19,)")):
+    with pytest.raises(ValueError, match=re.escape("terms must have shape (20,), got (19,)")):
         fn.known(fn.terms(x)[:-1], known.groups)
 
 

@@ -126,9 +126,19 @@ def test_embed_extract_round_trip():
         assert np.array_equal(embed(context, sub, x_g)[sub.indices], x_g)
 
 
+def test_subproblem_bounds_must_match_its_indices():
+    idx = np.array([3, 1])
+    with pytest.raises(ValueError, match=re.escape("lower must have shape (2,), got (3,)")):
+        SubProblem(0, idx, np.zeros(3), np.ones(2))
+    with pytest.raises(ValueError, match=re.escape("upper must have shape (2,), got (2, 1)")):
+        SubProblem(0, idx, np.zeros(2), np.ones((2, 1)))
+    sub = SubProblem(0, idx, [0, 0], [1, 2])  # stored as float arrays
+    assert sub.lower.dtype == float and sub.upper.tolist() == [1.0, 2.0]
+
+
 def test_embed_rejects_length_mismatch():
     sub = SubProblem(0, np.array([0, 1]), np.zeros(2), np.ones(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("x_g must have shape (2,), got (3,)")):
         embed(np.zeros(4), sub, np.zeros(3))
 
 

@@ -87,6 +87,18 @@ def test_cohens_d_rejects_a_nan_input(position):
         cohens_d(*args)
 
 
+@pytest.mark.parametrize("position", [1, 3])
+def test_cohens_d_rejects_a_negative_spread(position):
+    # unchecked, cohens_d(1.0, -2.0, 0.0, 1.0) returned (0.632..., "medium")
+    args = [1.0, 1.0, 0.0, 1.0]
+    args[position] = -2.0
+    name = ("mean_a", "std_a", "mean_b", "std_b")[position]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be >= 0, got -2.0")):
+        cohens_d(*args)
+    args[position] = 0.0
+    assert cohens_d(*args)[1] == "large"  # a zero spread stays valid
+
+
 def test_effect_label_rejects_nan_and_infinite_means_keep_their_sign():
     with pytest.raises(ValueError, match="d is NaN"):
         effect_label(math.nan)

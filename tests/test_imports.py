@@ -1,7 +1,8 @@
 """Import hygiene: no module imports a name it never uses, the package's
 ``__all__`` matches what it binds, every name the benchmark's tracer
-wraps still exists, only the surrogate path loads ``scipy.spatial``, and
-``benchmarks.check_integer`` is the package's one integer test.
+wraps still exists, only the surrogate path loads ``scipy.spatial``,
+``benchmarks.check_integer`` is the package's one integer test and
+``benchmarks.float_array`` its one array-shape check.
 
 A standard-library stand-in for a linter's unused-import rule. Names listed
 in a module's ``__all__`` count as used (re-exports), and ``from __future__``
@@ -109,25 +110,43 @@ def test_perfbench_patch_points_exist(monkeypatch):
 
 # the spellings of "an integer, bool excluded, numpy integers accepted"
 INTEGER_TEST = re.compile(r"\bis bool\b|isinstance\(.*\bbool\b|np\.integer")
+# the spellings of "this array has the wrong shape"
+SHAPE_TEST = re.compile(r"\.(shape(\[[^]]*\])?|ndim)\s*!=|np\.shape\(.*\)\s*!=")
 
 
-def test_check_integer_is_the_only_integer_test():
+def scan_package(pattern: re.Pattern, owner: str) -> tuple[list[str], list[str]]:
+    """The files that define ``owner``, and every line of ``src/coopevo``
+    outside it that ``pattern`` finds."""
     found, owners = [], []
     for path in sorted((ROOT / "src/coopevo").glob("*.py")):
         source = path.read_text()
         spans = [
             (node.lineno, node.end_lineno)
             for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.FunctionDef) and node.name == "check_integer"
+            if isinstance(node, ast.FunctionDef) and node.name == owner
         ]
         owners += [path.name] * len(spans)
         found += [
             f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
             for number, line in enumerate(source.splitlines(), 1)
-            if INTEGER_TEST.search(line) and not any(a <= number <= b for a, b in spans)
+            if pattern.search(line) and not any(a <= number <= b for a, b in spans)
         ]
-    assert owners == ["benchmarks.py"]
-    assert found == []
+    return owners, found
+
+
+def test_check_integer_is_the_only_integer_test():
+    assert scan_package(INTEGER_TEST, "check_integer") == (["benchmarks.py"], [])
+
+
+def test_shape_scan_finds_each_spelling():
+    for line in ("if x.shape != (n,):", "if a.ndim != 2", "if a.shape[1] != s:",
+                 "if np.shape(rot) != (m, m):"):
+        assert SHAPE_TEST.search(line), line
+    assert not SHAPE_TEST.search("p, s = pop.shape")
+
+
+def test_float_array_is_the_only_shape_test():
+    assert scan_package(SHAPE_TEST, "float_array") == (["benchmarks.py"], [])
 
 
 # Each case runs in a fresh interpreter, with BLAS pinned to one thread, and

@@ -138,8 +138,10 @@ def test_predict_rejects_dimension_mismatch():
     model = train_surrogate(
         filled_archive([[0.0], [1.0], [2.0]], [0.0, 1.0, 4.0], lower=[0.0], upper=[2.0])
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("xs must have shape (any, 1), got (1, 2)")):
         model.predict_batch(np.zeros((1, 2)))
+    with pytest.raises(ValueError, match=re.escape("xs must have shape (any, 1), got (1,)")):
+        model.predict_batch(np.zeros(1))
 
 
 def test_interpolation_property_over_random_archives():
@@ -186,14 +188,14 @@ def test_push_into_partial_archive_evicts_only_the_overflow():
 
 def test_push_into_empty_archive_rejects_unequal_lengths():
     arch = TrainingArchive(5, np.full(2, -10.0), np.full(2, 10.0))
-    with pytest.raises(ValueError, match="5 points but 3 values"):
+    with pytest.raises(ValueError, match=re.escape("values must have shape (5,), got (3,)")):
         arch.push(np.zeros((5, 2)), np.zeros(3))
     assert len(arch) == 0  # nothing written
 
 
 def test_push_rejects_unequal_lengths():
     arch = filled_archive(np.arange(5.0)[:, None], np.arange(5.0))
-    with pytest.raises(ValueError, match="2 points but 1 values"):
+    with pytest.raises(ValueError, match=re.escape("values must have shape (2,), got (1,)")):
         arch.push(np.array([[7.0], [8.0]]), np.array([70.0]))
     assert arch.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]  # nothing evicted
 
@@ -208,28 +210,33 @@ def test_push_rejects_points_of_the_wrong_shape(points):
     arch = filled_archive(np.arange(12.0).reshape(4, 3) / 20.0, np.arange(4.0),
                           lower=np.zeros(3), upper=np.ones(3))
     before = arch.points.copy()
-    with pytest.raises(ValueError, match=rf"shape \(b, 3\), got {re.escape(str(points.shape))}"):
+    message = re.escape(f"points must have shape (any, 3), got {points.shape}")
+    with pytest.raises(ValueError, match=message):
         arch.push(points, np.arange(float(len(points))))
     assert np.array_equal(arch.points, before)  # nothing evicted
     assert arch.values.tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 @pytest.mark.parametrize(
-    "lower, upper",
-    [([0.0, 0.0], [1.0]), ([0.0, 0.0], [1.0, 0.0]), ([0.0], [-1.0])],
+    "lower, upper, message",
+    [
+        ([0.0, 0.0], [1.0], "upper must have shape (2,), got (1,)"),
+        ([0.0, 0.0], [1.0, 0.0], "every upper bound must exceed its lower bound"),
+        ([0.0], [-1.0], "every upper bound must exceed its lower bound"),
+    ],
     ids=["shape", "equal", "inverted"],
 )
-def test_archive_rejects_bad_bounds(lower, upper):
-    with pytest.raises(ValueError, match="bound"):
+def test_archive_rejects_bad_bounds(lower, upper, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         TrainingArchive(6, np.array(lower), np.array(upper))
 
 
 def test_archive_rejects_bounds_that_are_not_one_dimensional():
     # unchecked, (2, 2) bounds would read as s = 4 and fail later, in training
     box = np.zeros((2, 2))
-    with pytest.raises(ValueError, match=re.escape("bounds must be 1-D, got shape (2, 2)")):
+    with pytest.raises(ValueError, match=re.escape("lower must have shape (any,), got (2, 2)")):
         TrainingArchive(6, box, box + 1.0)
-    with pytest.raises(ValueError, match=re.escape("bounds must be 1-D, got shape ()")):
+    with pytest.raises(ValueError, match=re.escape("lower must have shape (any,), got ()")):
         TrainingArchive(6, 0.0, 1.0)
 
 
@@ -361,11 +368,13 @@ def test_archive_matches_straight_line_reference_with_planted_duplicates():
 
 
 def test_rebase_rejects_nonpositive_delta():
+    # unchecked, nan made every stored value NaN and inf made them -inf
     arch = filled_archive([[0.0]], [1.0], lower=[-1.0], upper=[1.0])
-    with pytest.raises(ValueError):
-        arch.rebase(0.0)
-    with pytest.raises(ValueError):
-        arch.rebase(-1.0)
+    for delta in (0.0, -1.0, np.nan, np.inf):
+        message = re.escape(f"rebase delta must be a finite number above 0, got {delta!r}")
+        with pytest.raises(ValueError, match=message):
+            arch.rebase(delta)
+    assert arch.values.tolist() == [1.0]
 
 
 def test_push_without_close_pair_stores_rows_as_given():

@@ -3,9 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from coopevo.benchmarks import FUNCTION_IDS, BenchmarkFunction, get_function
+from coopevo.benchmarks import FUNCTION_IDS, BenchmarkFunction, get_function, make_separable
 from coopevo.decomposition import embed, ideal_decompose
 from coopevo.runtime import BudgetExhausted, CooperativeRun, FeBudget, RunParams
+from coopevo.shade_cc import ShadeCC
+from coopevo.surrogate_cc import SurrogateCC
 
 BATCH_SIZES = (1, 2, 100)
 
@@ -81,6 +83,23 @@ def small_run(max_fe=10**6):
     return CooperativeRun(fn, decomp, RunParams(max_fe=max_fe), seed=1)
 
 
+@pytest.mark.parametrize("optimizer", [ShadeCC, SurrogateCC])
+def test_optimizers_take_only_a_seed_that_is_an_integer_ge_0(optimizer):
+    # unchecked, True ran and was recorded as the seed, and 2.5 and -1 failed
+    # inside numpy's SeedSequence
+    fn = make_separable("sphere", 20, seed=1)
+    decomp, params = ideal_decompose(fn, 5), RunParams(max_fe=300, p=20)
+    for seed in (True, 2.5, -1):
+        message = re.escape(f"seed must be an integer >= 0, got {seed!r}")
+        with pytest.raises(ValueError, match=message):
+            optimizer(fn, decomp, params, seed)
+    run = optimizer(fn, decomp, params, np.int64(3))
+    assert type(run.seed) is int and run.seed == 3
+    record = run.run()
+    assert type(record.seed) is int and record.seed == 3
+    assert record.final_f == optimizer(fn, decomp, params, 3).run().final_f
+
+
 def test_evaluate_rows_leaves_the_context_untouched():
     run = small_run()
     x, terms = run.context.x.copy(), run.context.terms.copy()
@@ -96,7 +115,7 @@ def test_evaluate_rows_rejects_rows_of_the_wrong_shape(shape):
     run = small_run()
     sub = run.decomposition.subproblems[0]
     assert sub.s == 7
-    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+    with pytest.raises(ValueError, match=re.escape(f"rows must have shape (any, 7), got {shape}")):
         run.evaluate_rows(sub, np.zeros(shape))
     assert run.budget.used == 1
 
