@@ -16,7 +16,6 @@ from .benchmarks import (
     BASES,
     BenchmarkFunction,
     Group,
-    build_function,
     get_function,
     make_separable,
     make_suite,
@@ -74,7 +73,6 @@ __all__ = [
     "SurrogateCC",
     "TrainingArchive",
     "TrainingError",
-    "build_function",
     "cohens_d",
     "compare_algorithms",
     "effect_label",

@@ -293,10 +293,13 @@ class BenchmarkFunction:
                 m = len(g.indices)
                 rot = float_array("rotation", rot, (m, m))
                 err = np.max(np.abs(rot.T @ rot - np.eye(m)))
-                if err > 1e-10:
+                if not err <= 1e-10:  # a NaN entry makes err NaN
                     raise ValueError(f"rotation not orthogonal (err={err:.2e})")
+            weight = float(g.weight)
+            if not math.isfinite(weight):
+                raise ValueError(f"group {pos} weight must be finite, got {weight!r}")
             idx = np.array(g.indices, dtype=int)
-            terms.append(_Term(idx, self.shift[idx], rot, BASES[g.base], float(g.weight)))
+            terms.append(_Term(idx, self.shift[idx], rot, BASES[g.base], weight))
             owner[idx] = pos
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lower", lower)
@@ -372,11 +375,11 @@ class BenchmarkFunction:
                 {
                     "kind": SEPARABLE if g.rotation is None else NONSEPARABLE,
                     "base": g.base,
-                    "weight": g.weight,
+                    "weight": term.weight,
                     "size": len(g.indices),
                     "indices": list(map(int, g.indices)),
                 }
-                for g in self.groups
+                for g, term in zip(self.groups, self._terms)
             ],
             "bounds": {
                 "lower": self.lower.tolist(),
@@ -397,9 +400,9 @@ def _synth_rotation(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 # layout of the 18-function suite: id -> (separable base, nonseparable base,
-# number of rotated groups, weight on each rotated group). Zero rotated
-# groups make a fully separable function; no separable base means the
-# rotated groups tile every variable.
+# number of rotated groups of dim // 20 variables, weight on each rotated
+# group). Zero rotated groups make a fully separable function; no separable
+# base means the 20 rotated groups tile every variable.
 _SUITE_LAYOUT = {
     "f01": ("elliptic", None, 0, 1.0),
     "f02": ("rastrigin", None, 0, 1.0),
@@ -424,52 +427,40 @@ _SUITE_LAYOUT = {
 FUNCTION_IDS = tuple(_SUITE_LAYOUT)
 
 
-def build_function(
-    fid: str,
-    dim: int,
-    seed: int,
-    sep_base: str | None,
-    nonsep_base: str | None,
-    n_groups: int,
-    group_size: int,
-    group_weight: float = 1.0,
-) -> BenchmarkFunction:
-    """Assemble one function: ``n_groups`` rotated blocks of ``group_size``
-    variables drawn from a seeded permutation, remaining variables in one
-    separable block. Pass ``n_groups=0`` for a fully separable function.
-    ``dim`` and ``seed`` must be integers (``bool`` is not one)."""
-    check_integer("dim", dim)
+def _assemble(fid: str, dim: int, seed: int, layout: tuple) -> BenchmarkFunction:
+    """Assemble one function from a ``_SUITE_LAYOUT`` row ``(sep_base,
+    nonsep_base, n_groups, weight)``: ``n_groups`` rotated blocks of
+    ``dim // 20`` variables drawn from a seeded permutation, the remaining
+    variables in one separable block. ``dim`` and ``seed`` must be integers
+    (``bool`` is not one)."""
+    check_integer("dim", dim, 1)
     check_integer("seed", seed)
-    if n_groups * group_size > dim:
-        raise ValueError("rotated groups exceed dimension")
-    if n_groups > 0 and nonsep_base is None:
-        raise ValueError("nonseparable base required")
-    if n_groups * group_size < dim and sep_base is None:
-        raise ValueError("separable base required")
+    sep_base, nonsep_base, n_groups, weight = layout
+    size = dim // 20
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(fid.encode())]))
     perm = rng.permutation(dim)
 
     groups: list[Group] = []
-    sep_idx = np.sort(perm[n_groups * group_size:])
+    sep_idx = np.sort(perm[n_groups * size:])
     if sep_idx.size:
         groups.append(Group(tuple(int(i) for i in sep_idx), sep_base))
     for k in range(n_groups):
-        idx = perm[k * group_size:(k + 1) * group_size]
-        groups.append(Group(tuple(int(i) for i in idx), nonsep_base, group_weight,
-                            _synth_rotation(rng, group_size)))
+        idx = perm[k * size:(k + 1) * size]
+        groups.append(Group(tuple(int(i) for i in idx), nonsep_base, weight,
+                            _synth_rotation(rng, size)))
 
     shift = _synth_shift(rng, *_box(groups))
-    fn = BenchmarkFunction(fid, shift, tuple(groups), int(seed))
+    fn = BenchmarkFunction(fid, shift, tuple(groups), seed)
     opt = fn(shift)
     if abs(opt) > 1e-9:
         raise AssertionError(f"{fid}: f(shift) = {opt!r}, expected 0")
     return fn
 
 
-def make_separable(base: str, dim: int, seed: int, fid: str | None = None) -> BenchmarkFunction:
+def make_separable(base: str, dim: int, seed: int) -> BenchmarkFunction:
     """Fully separable single-base function (handy for small experiments)."""
-    return build_function(fid or f"{base}-{dim}d", dim, seed, base, None, 0, 0)
+    return _assemble(f"{base}-{dim}d", dim, seed, (base, None, 0, 1.0))
 
 
 def make_suite(dim: int, seed: int) -> list[BenchmarkFunction]:
@@ -487,9 +478,7 @@ def get_function(fid: str, dim: int, seed: int) -> BenchmarkFunction:
     if fid not in _SUITE_LAYOUT:
         raise ValueError(f"unknown function id {fid!r}")
     check_dim(dim)
-    check_integer("seed", seed)
-    sep_base, nonsep_base, n_groups, weight = _SUITE_LAYOUT[fid]
-    return build_function(fid, dim, seed, sep_base, nonsep_base, n_groups, dim // 20, weight)
+    return _assemble(fid, dim, seed, _SUITE_LAYOUT[fid])
 
 
 def suite_manifest(suite: list[BenchmarkFunction]) -> str:

@@ -100,6 +100,9 @@ class TrainingArchive:
         self.upper = float_array("upper", upper, self.lower.shape)
         if not np.all(self.upper > self.lower):
             raise ValueError("every upper bound must exceed its lower bound")
+        for name, bound in (("lower", self.lower), ("upper", self.upper)):
+            if not np.isfinite(bound).all():
+                raise ValueError(f"every {name} bound must be finite")
         self.points = np.empty((0, self.lower.size))
         self.values = np.empty(0)
         self._next_tick = 0

@@ -14,7 +14,6 @@ from coopevo.benchmarks import (
     SEPARABLE,
     BenchmarkFunction,
     Group,
-    build_function,
     check_integer,
     float_array,
     get_function,
@@ -224,13 +223,22 @@ def test_float_array_returns_a_float_array_of_the_given_shape():
 @pytest.mark.parametrize("dim", [40.0, 2.5, True, "40"])
 def test_builders_reject_a_dim_that_is_not_an_integer(dim):
     # unchecked, 40.0 and 2.5 would fail inside numpy with an AxisError
-    message = re.escape(f"dim must be an integer, got {dim!r}")
+    message = f"^{re.escape(f'dim must be an integer, got {dim!r}')}$"
     with pytest.raises(ValueError, match=message):
         get_function("f01", dim, 1)
     with pytest.raises(ValueError, match=message):
-        make_separable("sphere", dim, 1)
-    with pytest.raises(ValueError, match=message):
         make_suite(dim, 1)
+    message = f"^{re.escape(f'dim must be an integer >= 1, got {dim!r}')}$"
+    with pytest.raises(ValueError, match=message):
+        make_separable("sphere", dim, 1)
+
+
+@pytest.mark.parametrize("dim", [0, -3])
+def test_make_separable_rejects_a_dim_below_1(dim):
+    # unchecked, 0 failed with "groups do not cover 0..n-1" and -3 with
+    # "rotated groups exceed dimension"
+    with pytest.raises(ValueError, match=f"^dim must be an integer >= 1, got {dim}$"):
+        make_separable("sphere", dim, 1)
 
 
 @pytest.mark.parametrize("seed", [True, 1.0])
@@ -240,7 +248,7 @@ def test_builders_reject_a_seed_that_is_not_an_integer(seed):
     with pytest.raises(ValueError, match=message):
         get_function("f01", 40, seed)
     with pytest.raises(ValueError, match=message):
-        build_function("fx", 10, seed, "sphere", "elliptic", 1, 5)
+        make_separable("sphere", 10, seed)
 
 
 def test_builders_accept_numpy_integers():
@@ -284,13 +292,15 @@ def test_constructor_stores_a_numpy_integer_seed_as_int():
         (dict(base="nope"), "unknown base 'nope'"),
         (dict(rotation=np.eye(3)), re.escape("rotation must have shape (2, 2), got (3, 3)")),
         (dict(rotation=2.0 * np.eye(2)), "not orthogonal"),
+        (dict(rotation=np.array([[0.0, 1.0], [-1.0, np.nan]])),
+         re.escape("rotation not orthogonal (err=nan)")),
         (dict(shift=np.zeros(1)), re.escape("shift must have shape (4,), got (1,)")),
         (dict(shift=np.zeros((4, 4))), re.escape("shift must have shape (4,), got (4, 4)")),
         (dict(shift=np.full(4, 100.0)), "shift must lie strictly inside bounds"),
         (dict(groups=(Group((0, 1), "sphere"), Group((3, 4), "sphere"))),
          "groups do not cover"),
     ],
-    ids=["unknown-base", "rotation-shape", "non-orthogonal", "shift-too-short",
+    ids=["unknown-base", "rotation-shape", "non-orthogonal", "nan-rotation", "shift-too-short",
          "shift-matrix", "shift-on-bound", "groups-not-a-partition"],
 )
 def test_constructor_rejects_inconsistent_definition(override, message):
@@ -299,6 +309,28 @@ def test_constructor_rejects_inconsistent_definition(override, message):
     assert fn(np.array([1.0, 2.0, 3.0, 4.0])) == 5.0 + 2.0 * (16.0 + 1e6 * 9.0)
     with pytest.raises(ValueError, match=message):
         BenchmarkFunction(**_two_group_kwargs(**override))
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_constructor_rejects_a_weight_that_is_not_finite(weight):
+    # unchecked, a nan or inf weight on f04's rotated group built, and
+    # f(shift) was nan
+    fn = get_function("f04", 40, seed=1)
+    groups = tuple(g if g.rotation is None else Group(g.indices, g.base, weight, g.rotation)
+                   for g in fn.groups)
+    assert groups[1].weight is weight  # the rotated group comes second
+    message = re.escape(f"group 1 weight must be finite, got {weight!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BenchmarkFunction(fn.fid, fn.shift, groups, fn.seed)
+
+
+def test_manifest_writes_each_weight_as_a_float():
+    # before, True was written as true and "2" as "2"
+    groups = (Group((0, 1), "sphere", True), Group((2, 3), "elliptic", "2", ROT90))
+    fn = BenchmarkFunction("weights-4d", np.zeros(4), groups, 0)
+    weights = [g["weight"] for g in fn.manifest()["groups"]]
+    assert weights == [1.0, 2.0] and all(type(w) is float for w in weights)
+    assert fn(np.array([1.0, 2.0, 3.0, 4.0])) == 5.0 + 2.0 * (16.0 + 1e6 * 9.0)
 
 
 def test_structure_rejects_repeated_index_in_one_group():
@@ -569,14 +601,24 @@ def test_make_separable_helper():
 
 
 @pytest.mark.parametrize(
-    "sep_base, nonsep_base",
-    [("nope", "elliptic"), ("sphere", "nope")],
-    ids=["sep_base", "nonsep_base"],
+    "build, digest",
+    [
+        (lambda: make_suite(40, 1),
+         "ef91b290a18e9924a1367970b25722e4cc6cd614e1eb8e313cf4f32de82a954f"),
+        (lambda: [make_separable("sphere", 7, 2)],
+         "7dfe7f3e83623cdb183c3aab20a900f66e28dd0c0076da41e2a00317ca7a111d"),
+        (lambda: [make_separable("elliptic", 60, 3)],
+         "bd8bf76abe51ce813382c70180de9a0c6d7eb94e44549428f0c53ccfc85b3d24"),
+    ],
+    ids=["suite-40", "sphere-7", "elliptic-60"],
 )
-def test_build_function_rejects_unknown_base(sep_base, nonsep_base):
-    # rejected before the bounds of the base are looked up
-    with pytest.raises(ValueError, match="unknown base 'nope'"):
-        build_function("fx", 10, 1, sep_base, nonsep_base, 1, 5)
+def test_shifts_are_pinned(build, digest):
+    # the shift is drawn by the seeded generator alone, after the
+    # permutation and the rotations, so these bytes are the same on every host
+    h = hashlib.sha256()
+    for fn in build():
+        h.update(fn.shift.astype("<f8").tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_suite_manifest_is_valid_json():

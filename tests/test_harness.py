@@ -93,10 +93,21 @@ def test_cohens_d_rejects_a_negative_spread(position):
     args = [1.0, 1.0, 0.0, 1.0]
     args[position] = -2.0
     name = ("mean_a", "std_a", "mean_b", "std_b")[position]
-    with pytest.raises(ValueError, match=re.escape(f"{name} must be >= 0, got -2.0")):
+    message = re.escape(f"{name} must be a finite number >= 0, got -2.0")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         cohens_d(*args)
     args[position] = 0.0
     assert cohens_d(*args)[1] == "large"  # a zero spread stays valid
+
+
+@pytest.mark.parametrize("position", [1, 3])
+def test_cohens_d_rejects_an_infinite_spread(position):
+    # unchecked, cohens_d(0.0, math.inf, 1.0, 1.0) returned (-0.0, "similar")
+    args = [0.0, 1.0, 1.0, 1.0]
+    args[position] = math.inf
+    name = ("mean_a", "std_a", "mean_b", "std_b")[position]
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0, got inf$"):
+        cohens_d(*args)
 
 
 def test_effect_label_rejects_nan_and_infinite_means_keep_their_sign():

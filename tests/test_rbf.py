@@ -223,8 +223,11 @@ def test_push_rejects_points_of_the_wrong_shape(points):
         ([0.0, 0.0], [1.0], "upper must have shape (2,), got (1,)"),
         ([0.0, 0.0], [1.0, 0.0], "every upper bound must exceed its lower bound"),
         ([0.0], [-1.0], "every upper bound must exceed its lower bound"),
+        # unchecked, an infinite bound scaled every point to 0
+        ([0.0], [np.inf], "every upper bound must be finite"),
+        ([-np.inf], [0.0], "every lower bound must be finite"),
     ],
-    ids=["shape", "equal", "inverted"],
+    ids=["shape", "equal", "inverted", "infinite-upper", "infinite-lower"],
 )
 def test_archive_rejects_bad_bounds(lower, upper, message):
     with pytest.raises(ValueError, match=re.escape(message)):
