@@ -19,9 +19,9 @@ print(f"starting value: {opt.context.f:.4e}\n")
 
 print(f"{'generation':>10} {'evals used':>10} {'best value':>12}")
 while not opt.budget.exhausted:
-    report = opt.step()
-    if report.generation % 100 == 0:
-        print(f"{report.generation:>10} {opt.budget.used:>10} {report.f_best:>12.4e}")
+    opt.step()
+    if opt.generation % 100 == 0:
+        print(f"{opt.generation:>10} {opt.budget.used:>10} {opt.context.f:>12.4e}")
 
 record = opt.finish()
 print(f"\nfinal value: {record.final_f:.4e}")

@@ -73,14 +73,14 @@ def _build_config(args: argparse.Namespace, default_algorithm: str | None = None
 def _cmd_run(args) -> int:
     config = _build_config(args)
     result = run_experiment(config)
-    for row in result.summaries:
+    for row in map(result.summary_for, result.records):
         print(
             f"{row.function_id} {row.algorithm} budget={row.budget} runs={row.runs} "
             f"best={row.best:.6e} median={row.median:.6e} worst={row.worst:.6e} "
             f"mean={row.mean:.6e} std={row.std:.6e}"
         )
-    for fid, path in result.paths.items():
-        print(f"{fid}: wrote {path}")
+    for fid in result.records:
+        print(f"{fid}: wrote {result.out_dir(fid)}")
     return 0
 
 

@@ -40,13 +40,19 @@ class SubProblem:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """Sub-problems that partition the variables 0..n-1, where ``n`` is the
+    sum of their sizes."""
+
     subproblems: tuple[SubProblem, ...]
-    n: int
 
     def __post_init__(self):
         check_partition([sub.indices for sub in self.subproblems], self.n)
         if [sub.sid for sub in self.subproblems] != list(range(self.k)):
             raise ValueError("sub-problem ids must be 0..k-1 in order")
+
+    @property
+    def n(self) -> int:
+        return sum(sub.s for sub in self.subproblems)
 
     @property
     def k(self) -> int:
@@ -86,7 +92,7 @@ def ideal_decompose(fn: BenchmarkFunction, s_sep: int) -> Decomposition:
         if g.rotation is not None:
             add(g.indices)
 
-    return Decomposition(tuple(subs), fn.n)
+    return Decomposition(tuple(subs))
 
 
 def embed(context: np.ndarray, sub: SubProblem, x_g: np.ndarray) -> np.ndarray:

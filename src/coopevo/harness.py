@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import importlib
 import json
 import math
 import os
@@ -37,6 +36,7 @@ import numpy as np
 from . import __version__
 from .benchmarks import FUNCTION_IDS, BenchmarkFunction, check_dim, check_integer, get_function
 from .decomposition import Decomposition, ideal_decompose
+from .rbf import _distance
 from .runtime import RunParams, RunRecord, write_table
 from .shade_cc import ShadeCC
 from .surrogate_cc import SurrogateCC
@@ -58,10 +58,10 @@ def _setting(text: str, default=dataclasses.MISSING, low: int | None = None):
 class ExperimentConfig:
     """One experiment's settings, checked when the config is built.
 
-    A ``sacc`` config also imports ``scipy.spatial.distance`` here, which
-    ``rbf`` otherwise loads at its first use: the import then falls in the
-    caller's set-up rather than inside the first run, and a missing scipy
-    fails before any run writes output."""
+    A ``sacc`` config also loads the distance module here, through the
+    loader ``rbf`` otherwise calls at its first use: the import then falls
+    in the caller's set-up rather than inside the first run, and a missing
+    scipy fails before any run writes output."""
 
     functions: tuple[str, ...] = _setting("suite function id, e.g. f01 (repeatable)")
     dim: int = _setting("problem dimension (multiple of 20)")
@@ -106,7 +106,7 @@ class ExperimentConfig:
         # RunParams validates the optimizer parameters
         self.run_params()
         if self.algorithm == "sacc":
-            importlib.import_module("scipy.spatial.distance")
+            _distance()
 
     def run_params(self) -> RunParams:
         shared = [f.name for f in dataclasses.fields(RunParams) if f.name != "max_fe"]
@@ -264,15 +264,17 @@ COHENS_D_FORMULA = "(mean_a - mean_b) / sqrt((std_a^2 + std_b^2) / 2)"
 
 @dataclass
 class ExperimentResult:
-    summaries: list[SummaryRow]
+    config: ExperimentConfig
     records: dict[str, list[RunRecord]]      # function id -> per-seed records
-    paths: dict[str, Path]
 
     def summary_for(self, fid: str) -> SummaryRow:
-        for row in self.summaries:
-            if row.function_id == fid:
-                return row
-        raise KeyError(fid)
+        """The summary of function ``fid``'s final values."""
+        finals = [rec.final_f for rec in self.records[fid]]
+        return SummaryRow.from_finals(fid, self.config.algorithm, self.config.budget, finals)
+
+    def out_dir(self, fid: str) -> Path:
+        """Where ``run_experiment`` writes the outputs of function ``fid``."""
+        return Path(self.config.out) / fid / self.config.algorithm
 
 
 def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentResult:
@@ -284,10 +286,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     and its minimum budget checked before the first run, so a bad setting
     for a later function writes nothing.
     """
-    summaries: list[SummaryRow] = []
-    all_records: dict[str, list[RunRecord]] = {}
-    paths: dict[str, Path] = {}
-
+    result = ExperimentResult(config, {})
     optimizer = OPTIMIZERS[config.algorithm]
     params = config.run_params()
     problems = {fid: build_problem(config, fid) for fid in config.functions}
@@ -299,13 +298,10 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     seeds = list(range(config.seed, config.seed + config.runs))
     for fid, (fn, decomp) in problems.items():
         records = [optimizer(fn, decomp, params, seed).run() for seed in seeds]
-        finals = [rec.final_f for rec in records]
-        summary = SummaryRow.from_finals(fid, config.algorithm, config.budget, finals)
-        summaries.append(summary)
-        all_records[fid] = records
+        result.records[fid] = records
 
         if write:
-            out = Path(config.out) / fid / config.algorithm
+            summary, out = result.summary_for(fid), result.out_dir(fid)
             for rec in records:
                 rec.write_csv(out / f"run_{rec.seed}.csv")
             export_convergence(records, out / "convergence.csv")
@@ -323,9 +319,8 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
             }
             with open(out / "manifest.json", "w") as handle:
                 json.dump(manifest, handle, indent=2, sort_keys=True)
-            paths[fid] = out
 
-    return ExperimentResult(summaries, all_records, paths)
+    return result
 
 
 def compare_algorithms(config: ExperimentConfig) -> dict:

@@ -5,16 +5,10 @@ per sub-problem.
 
 The context carries its own group terms (``ContextState.terms``), and the
 run keeps, per sub-problem, the positions of the groups its variables fall
-in. A charged row differs from the context only inside those groups, so
-``evaluate_rows`` writes each row of a batch into one working copy of the
-context and builds one ``KnownTerms`` (``fn.known(context.terms,
-groups)``, which checks the terms and positions), both once per batch, and
-passes it to ``BenchmarkFunction.evaluate`` for every row. ``evaluate``
-checks only that it is a ``KnownTerms`` of that function, recomputes only
-those groups, each by the call a full evaluation makes for it, and so
-returns the value a full evaluation gives, bit for bit; ``adopt``
-refreshes the terms the same way, uncharged, with one ``KnownTerms`` per
-adoption. The terms belong to the benchmark, which stands in for the
+in, so a charged row recomputes only those groups and ``adopt`` refreshes
+only those terms, uncharged. How that stays bit-identical to a full
+evaluation is described once, in ``benchmarks`` (``known`` and
+``KnownTerms``). The terms belong to the benchmark, which stands in for the
 expensive model: the optimizers never see them, and every row is still
 charged one evaluation. Each row is also still one ``fn.evaluate`` call,
 because that is how perfbench's traced run counts charged evaluations
@@ -132,9 +126,6 @@ class RunRecord:
 
     HEADER = ("generation", "sub_id", "fe_used", "f_best")
 
-    def add_row(self, generation: int, sub_id: int, fe_used: int, f_best: float):
-        self.rows.append(GenRow(generation, sub_id, fe_used, f_best))
-
     def write_csv(self, path: str | Path):
         write_table(
             path,
@@ -146,8 +137,8 @@ class RunRecord:
 class CooperativeRun:
     """Scaffolding of one seeded cooperative-coevolution run.
 
-    Owns everything both optimizers share: the seed, dimension and budget
-    checks, the evaluation budget, the seed streams (``rng`` for the run,
+    Owns everything both optimizers share: the seed, dimension, box and
+    budget checks, the evaluation budget, the seed streams (``rng`` for the run,
     ``sub_rngs[g]`` per sub-problem), the charged random context vector, the
     seeding of each sub-problem's ``SubState`` (``new_sub``), the one charged
     row evaluator ``evaluate_rows``, the round-robin ``cursor``, the
@@ -167,6 +158,10 @@ class CooperativeRun:
         check_integer("seed", seed, 0)
         if decomposition.n != fn.n:
             raise ValueError("decomposition does not match function dimension")
+        for sub in decomposition.subproblems:
+            idx = sub.indices
+            if not np.array_equal([sub.lower, sub.upper], [fn.lower[idx], fn.upper[idx]]):
+                raise ValueError(f"sub-problem {sub.sid}'s bounds differ from the function's box")
         need = self.min_budget(decomposition, params)
         if params.max_fe < need:
             raise ValueError(f"budget {params.max_fe} below initialization cost {need}")
@@ -209,7 +204,7 @@ class CooperativeRun:
 
     def add_row(self, sub_id: int, f_best: float):
         """Trace the current generation, budget use and best value."""
-        self.record.add_row(self.generation, sub_id, self.budget.used, f_best)
+        self.record.rows.append(GenRow(self.generation, sub_id, self.budget.used, f_best))
 
     def close_generation(self, sub_id: int, real_evals: int, f_best: float):
         """Count one finished generation of ``p`` trials and trace it."""
@@ -226,13 +221,10 @@ class CooperativeRun:
         This is the one place that charges the objective after ``x0``: both
         optimizers score every sub-solution through it. ``rows`` must be 2-D
         with ``sub.s`` columns. Each row is written into one working copy of
-        the context and scored by one ``fn.evaluate`` call that reuses the
-        context's terms and recomputes only the groups ``sub`` touches,
-        which is bit-identical to ``fn(embed(context.x, sub, row))``. The
-        copy and the ``KnownTerms`` those calls share are made once per
-        batch, so the terms and group positions are checked once per batch,
-        not once per row. One call per row is also how perfbench's traced
-        run counts charged evaluations."""
+        the context and scored by one ``fn.evaluate`` call that recomputes
+        only the groups ``sub`` touches, which is bit-identical to
+        ``fn(embed(context.x, sub, row))``. The copy and the ``KnownTerms``
+        those calls share are made once per batch."""
         rows = float_array("rows", rows, (None, sub.s))
         known = self.fn.known(self.context.terms, self.touched[sub.sid])
         x, idx = self.context.x.copy(), sub.indices

@@ -14,11 +14,9 @@ run record come from ``runtime.CooperativeRun``, and the population, trial
 generation and SHADE adaptation from ``shade.SubState``, exactly as in the
 surrogate-assisted optimizer. Re-evaluation and trial scoring both go
 through the one budgeted row evaluator, ``CooperativeRun.evaluate_rows``,
-which charges one evaluation per row and recomputes only the group terms
-the visited sub-problem touches, reusing the context's kept terms for the
-rest (see ``runtime``). A member's stored value is
-its negated fitness, so larger is better as in the surrogate-assisted
-optimizer. No freshness mask is kept: a stale value is, after its visit's
+which charges one evaluation per row (see ``runtime``). A member's stored
+value is its negated fitness, so larger is better as in the
+surrogate-assisted optimizer. No freshness mask is kept: a stale value is, after its visit's
 harvest, at most the negated context fitness, which only rises, so it never
 wins the strict harvest, and a refresh the budget cuts short (its unpaid
 members read ``-inf``) also ends the generation loop. A visit whose refresh

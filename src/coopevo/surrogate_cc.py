@@ -40,17 +40,16 @@ AUDIT_RTOL = 1e-9
 
 @dataclass
 class GenReport:
-    """What one generation did (mostly for tests and instrumentation)."""
+    """What one generation did beyond its trace row (mostly for tests and
+    instrumentation): the generation, sub-problem and best value are
+    ``record.rows[-1]``."""
 
-    generation: int
-    sub_id: int
     trials: int
     real_evals: int
     success_idx: np.ndarray
     context_updated: bool
     truncated: bool
     fallback: bool
-    f_best: float
 
 
 def initialization_cost(decomposition: Decomposition, params: RunParams) -> int:
@@ -160,17 +159,7 @@ class SurrogateCC(CooperativeRun):
 
         self.cursor = (self.cursor + 1) % self.decomposition.k
         self.close_generation(g, evaluated.size, self.context.f)
-        return GenReport(
-            generation=self.generation,
-            sub_id=g,
-            trials=p,
-            real_evals=evaluated.size,
-            success_idx=successes,
-            context_updated=context_updated,
-            truncated=truncated,
-            fallback=fallback,
-            f_best=self.context.f,
-        )
+        return GenReport(p, evaluated.size, successes, context_updated, truncated, fallback)
 
     def _run_audit(self, g: int):
         # uncharged re-evaluations; failures indicate book-keeping drift

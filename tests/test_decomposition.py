@@ -50,11 +50,25 @@ def test_decomposition_validates_partition():
     sub_a = SubProblem(0, np.array([0, 1]), bounds[0][:2], bounds[1][:2])
     sub_b = SubProblem(1, np.array([1, 2]), bounds[0][:2], bounds[1][:2])
     with pytest.raises(ValueError):
-        Decomposition((sub_a, sub_b), 4)
+        Decomposition((sub_a, sub_b))
     # float indices would otherwise fail later, in embed
     floats = SubProblem(0, np.array([0.0, 1.0]), bounds[0][:2], bounds[1][:2])
     with pytest.raises(ValueError, match=re.escape("group entry must be an integer, got 0.0")):
-        Decomposition((floats,), 2)
+        Decomposition((floats,))
+
+
+def test_decomposition_derives_n_from_its_subproblems():
+    # n was an argument: True was accepted and written as "n": true, and a
+    # numpy integer made to_dict() fail in json.dumps
+    subs = [SubProblem(g, np.array(idx, dtype=np.int64), np.zeros(len(idx)), np.ones(len(idx)))
+            for g, idx in enumerate([[2, 0], [1]])]
+    decomp = Decomposition(tuple(subs))
+    assert type(decomp.n) is int and decomp.n == 3
+    assert json.loads(json.dumps(decomp.to_dict()))["n"] == 3
+    with pytest.raises(ValueError, match="do not cover 0..n-1"):
+        Decomposition((subs[0],))
+    with pytest.raises(ValueError, match="do not cover 0..n-1"):
+        Decomposition(())
 
 
 def test_decomposition_requires_ids_in_order():
@@ -63,8 +77,8 @@ def test_decomposition_requires_ids_in_order():
     sub_a = SubProblem(1, np.array([0]), bounds[0][:1], bounds[1][:1])
     sub_b = SubProblem(0, np.array([1]), bounds[0][:1], bounds[1][:1])
     with pytest.raises(ValueError, match="ids must be 0..k-1 in order"):
-        Decomposition((sub_a, sub_b), 2)
-    assert Decomposition((sub_b, sub_a), 2).k == 2
+        Decomposition((sub_a, sub_b))
+    assert Decomposition((sub_b, sub_a)).k == 2
 
 
 def test_ideal_decompose_rejects_bad_args():

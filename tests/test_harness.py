@@ -41,7 +41,7 @@ def tiny_config(**kw):
 def fake_record(seed, rows):
     rec = RunRecord(seed=seed)
     for gen, (fe, fv) in enumerate(rows):
-        rec.add_row(gen, 0, fe, fv)
+        rec.rows.append(GenRow(gen, 0, fe, fv))
     rec.final_f = rows[-1][1]
     return rec
 

@@ -100,6 +100,16 @@ def test_optimizers_take_only_a_seed_that_is_an_integer_ge_0(optimizer):
     assert record.final_f == optimizer(fn, decomp, params, 3).run().final_f
 
 
+@pytest.mark.parametrize("optimizer", [ShadeCC, SurrogateCC])
+def test_optimizers_reject_a_decomposition_of_another_box(optimizer):
+    # unchecked, f02's decomposition ran on f01: each sub-problem searched
+    # f02's +-5 box inside f01's +-100 box
+    fn, params = get_function("f01", 20, 1), RunParams(max_fe=2000, p=20, visit_len=3)
+    with pytest.raises(ValueError, match="sub-problem 0's bounds differ from the function's box"):
+        optimizer(fn, ideal_decompose(get_function("f02", 20, 1), 5), params, seed=1)
+    optimizer(fn, ideal_decompose(get_function("f01", 20, 2), 5), params, seed=1)
+
+
 def test_evaluate_rows_leaves_the_context_untouched():
     run = small_run()
     x, terms = run.context.x.copy(), run.context.terms.copy()

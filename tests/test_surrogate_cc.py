@@ -170,9 +170,11 @@ def test_step_consumes_exactly_q_evaluations():
 
 def test_step_round_robin_cursor():
     _, _, opt = make_opt()
-    assert opt.step().sub_id == 0
-    assert opt.step().sub_id == 1
-    assert opt.step().sub_id == 0
+    for generation, sub_id in enumerate([0, 1, 0], 1):
+        opt.step()
+        row = opt.record.rows[-1]
+        assert (row.generation, row.sub_id, opt.generation) == (generation, sub_id, generation)
+        assert (row.fe_used, row.f_best) == (opt.budget.used, opt.context.f)
 
 
 def test_context_update_rebases_contributor_to_zero():
