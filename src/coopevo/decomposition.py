@@ -19,7 +19,9 @@ from .benchmarks import BenchmarkFunction, check_integer, check_partition, float
 
 @dataclass(frozen=True)
 class SubProblem:
-    """One variable block: which indices it owns and their box bounds."""
+    """One variable block: which indices it owns and their box bounds.
+    ``indices`` may be any 1-D sequence; it is stored as an array, and
+    ``Decomposition`` checks that its entries are integers."""
 
     sid: int
     indices: np.ndarray          # original variable indices, fixed order
@@ -27,6 +29,8 @@ class SubProblem:
     upper: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "indices", np.asarray(self.indices))
+        float_array("indices", self.indices, (None,))  # the shape check alone
         if self.indices.size < 1:
             raise ValueError("sub-problem must own at least one variable")
         for name in ("lower", "upper"):

@@ -36,7 +36,6 @@ import numpy as np
 from . import __version__
 from .benchmarks import FUNCTION_IDS, BenchmarkFunction, check_dim, check_integer, get_function
 from .decomposition import Decomposition, ideal_decompose
-from .rbf import _distance
 from .runtime import RunParams, RunRecord, write_table
 from .shade_cc import ShadeCC
 from .surrogate_cc import SurrogateCC
@@ -56,12 +55,7 @@ def _setting(text: str, default=dataclasses.MISSING, low: int | None = None):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's settings, checked when the config is built.
-
-    A ``sacc`` config also loads the distance module here, through the
-    loader ``rbf`` otherwise calls at its first use: the import then falls
-    in the caller's set-up rather than inside the first run, and a missing
-    scipy fails before any run writes output."""
+    """One experiment's settings, checked when the config is built."""
 
     functions: tuple[str, ...] = _setting("suite function id, e.g. f01 (repeatable)")
     dim: int = _setting("problem dimension (multiple of 20)")
@@ -105,8 +99,6 @@ class ExperimentConfig:
             raise ValueError(f"duplicate function ids {repeated}")
         # RunParams validates the optimizer parameters
         self.run_params()
-        if self.algorithm == "sacc":
-            _distance()
 
     def run_params(self) -> RunParams:
         shared = [f.name for f in dataclasses.fields(RunParams) if f.name != "max_fe"]

@@ -39,28 +39,75 @@ the scaled rows and Phi, updated by each push, was measured bit-identical
 on f14 1000-d, but it raised peak RSS by 14% (76.4 to 87.3 MiB) and gave no
 wall-time gain on its own.
 
-The distance functions come from ``scipy.spatial.distance``, which is
-imported at the first push, training or prediction, not with this module:
-the import takes most of ``import coopevo``'s time and adds about 38 MiB of
-RSS, and ``shade-cc`` never builds a surrogate. A ``sacc``
-``ExperimentConfig`` imports it when it is built, so a ``sacc`` experiment
-pays it during set-up, before its first run.
+The distances come from scipy's compiled kernels, the extension module
+``scipy.spatial._distance_pybind`` that ``scipy.spatial.distance.cdist``
+and ``pdist`` dispatch to. ``_kernels`` loads that one file at the first
+push, training or prediction, without importing ``scipy.spatial``: the
+package import takes about 0.2 s and 36 MiB of RSS (kd-tree, qhull,
+``scipy.sparse``, the array-API layer), the kernel file alone about 0.5 ms
+and 0.5 MiB, and ``shade-cc`` loads neither. Calling the kernels directly
+also skips the public functions' per-call wrapper; the results are the
+same bits. A ``sacc`` run loads them while it builds its archives, so a
+missing scipy fails before any output is written. The loading is verified
+against scipy 1.17.1 only: ``tests/test_rbf.py`` checks the kernels against
+``cdist`` and ``pdist`` bit for bit, in both import orders.
 """
 
 from __future__ import annotations
 
-import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
 from .benchmarks import check_integer, float_array
 
+KERNEL_MODULE = "scipy.spatial._distance_pybind"
+KERNELS = ("cdist_euclidean", "pdist_euclidean", "cdist_chebyshev", "pdist_chebyshev")
 
-def _distance():
-    """``scipy.spatial.distance``, imported at the first call."""
-    return importlib.import_module("scipy.spatial.distance")
+
+@cache
+def _kernels():
+    """scipy's compiled distance kernels, loaded at the first call.
+
+    The module is taken from ``sys.modules`` if ``scipy.spatial`` has
+    loaded it; otherwise its file is loaded under scipy's own module name,
+    so a later ``import scipy.spatial`` finds the same extension, and it is
+    not added to ``sys.modules``. ``find_spec`` locates scipy without
+    importing it."""
+    module = sys.modules.get(KERNEL_MODULE)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None or scipy.origin is None:
+            raise ImportError(f"sacc needs scipy's {KERNEL_MODULE}, and scipy is not installed")
+        stem = os.path.join(os.path.dirname(scipy.origin), "spatial", "_distance_pybind")
+        paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((path for path in paths if os.path.isfile(path)), None)
+        if path is None:
+            raise ImportError(f"no {KERNEL_MODULE} extension: none of {paths} exists")
+        loader = importlib.machinery.ExtensionFileLoader(KERNEL_MODULE, path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(KERNEL_MODULE, path, loader=loader))
+        loader.exec_module(module)
+    for name in KERNELS:
+        if not hasattr(module, name):
+            raise ImportError(f"{module.__file__} has no function {name}")
+    return module
+
+
+@lru_cache(maxsize=8)  # a run has one archive size per sub-problem size
+def _triangle_positions(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions in a (d, d) array of the strict upper triangle, in
+    ``pdist``'s condensed order, and of their mirror images."""
+    i, j = np.triu_indices(d, 1)
+    upper, lower = i * d + j, j * d + i
+    upper.setflags(write=False)
+    lower.setflags(write=False)
+    return upper, lower
 
 
 class TrainingError(RuntimeError):
@@ -146,9 +193,9 @@ class TrainingArchive:
         # batch; the distances skip NaN coordinates where the row-by-row
         # check does not, so a non-finite row always takes the row-by-row
         # insert
-        distance = _distance()
-        stored = distance.cdist(points, tail, "chebyshev")
-        within = distance.pdist(points, "chebyshev")
+        kernels = _kernels()
+        stored = kernels.cdist_chebyshev(points, tail)
+        within = kernels.pdist_chebyshev(points)
         if not (np.all(stored >= DUPLICATE_TOL) and np.all(within >= DUPLICATE_TOL)
                 and np.all(np.isfinite(rows))):
             for i in range(kept, kept + b):
@@ -206,7 +253,7 @@ class RbfModel:
         found = np.array([self._center_row.get(key, -1) for key in self._row_keys(z)],
                          dtype=np.intp)
         hit = found >= 0
-        cdist = _distance().cdist
+        cdist = _kernels().cdist_euclidean
         if hit.any():
             k = np.empty((len(z), len(self.centers)))
             k[hit] = self.kernel[found[hit]]
@@ -238,8 +285,14 @@ def train_surrogate(archive: TrainingArchive) -> RbfModel:
     centers = _unit_box(archive.points, archive.lower, archive.upper)
     labels = archive.values
 
-    distance = _distance()
-    phi = distance.squareform(distance.pdist(centers) ** 3)
+    # Phi from the condensed r^3 vector, each entry copied to both of its
+    # places: the same matrix as squareform's
+    r3 = _kernels().pdist_euclidean(centers) ** 3
+    upper, lower = _triangle_positions(d)
+    phi = np.zeros((d, d))
+    flat = phi.ravel()
+    flat[upper] = r3
+    flat[lower] = r3
     q = np.hstack([centers, np.ones((d, 1))])
     a = np.zeros((d + s + 1, d + s + 1), order="F")
     a[:d, :d] = phi.T  # phi is exactly symmetric; .T matches a's layout

@@ -150,6 +150,16 @@ def test_subproblem_bounds_must_match_its_indices():
     assert sub.lower.dtype == float and sub.upper.tolist() == [1.0, 2.0]
 
 
+def test_subproblem_stores_an_index_list_as_a_1d_integer_array():
+    sub = SubProblem(0, [0, 1], [0, 0], [1, 1])
+    assert sub.indices.dtype.kind == "i" and sub.indices.tolist() == [0, 1]
+    assert Decomposition((sub,)).n == 2
+    assert embed(np.zeros(2), sub, [3.0, 4.0]).tolist() == [3.0, 4.0]
+    for indices, shape in ((np.array([[0, 1]]), "(1, 2)"), (0, "()")):
+        with pytest.raises(ValueError, match=re.escape(f"indices must have shape (any,), got {shape}")):
+            SubProblem(0, indices, [0, 0], [1, 1])
+
+
 def test_embed_rejects_length_mismatch():
     sub = SubProblem(0, np.array([0, 1]), np.zeros(2), np.ones(2))
     with pytest.raises(ValueError, match=re.escape("x_g must have shape (2,), got (3,)")):

@@ -1,6 +1,7 @@
 """Import hygiene: no module imports a name it never uses, the package's
 ``__all__`` matches what it binds, every name the benchmark's tracer
-wraps still exists, only the surrogate path loads ``scipy.spatial``,
+wraps still exists, no path loads ``scipy.spatial`` (``sacc`` loads only
+scipy's compiled distance kernels),
 ``benchmarks.check_integer`` is the package's one integer test and
 ``benchmarks.float_array`` its one array-shape check.
 
@@ -152,7 +153,9 @@ def test_float_array_is_the_only_shape_test():
 # Each case runs in a fresh interpreter, with BLAS pinned to one thread, and
 # reports the modules it ended with. shade-cc never trains a surrogate, so
 # its paths load neither scipy.spatial nor numpy.ma (which np.unique and
-# np.median import at their first call).
+# np.median import at their first call). sacc loads scipy's distance kernels
+# from their file, not through scipy.spatial, so its paths load neither
+# scipy.spatial nor the scipy.sparse it would pull in.
 SHADE_CC_PATHS = {
     "import": "import coopevo",
     "run": (
@@ -165,6 +168,17 @@ SHADE_CC_PATHS = {
         "from coopevo import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
         "    cli.main(['--help'])"
+    ),
+}
+SACC_PATHS = {
+    "config": (
+        "from coopevo import harness\n"
+        "harness.ExperimentConfig(functions=('f01',), dim=20, algorithm='sacc', budget=600)"
+    ),
+    "run": (
+        "from coopevo import harness\n"
+        "harness.run_experiment(harness.ExperimentConfig(\n"
+        "    functions=('f01',), dim=20, algorithm='sacc', budget=600, runs=2))"
     ),
 }
 
@@ -186,9 +200,8 @@ def test_shade_cc_paths_load_neither_scipy_spatial_nor_numpy_ma(case, tmp_path):
     assert not {"scipy.spatial", "numpy.ma"} & loaded
 
 
-def test_a_sacc_config_loads_the_distance_functions(tmp_path):
-    code = (
-        "from coopevo import harness\n"
-        "harness.ExperimentConfig(functions=('f01',), dim=20, algorithm='sacc', budget=300)"
-    )
-    assert "scipy.spatial.distance" in modules_after(code, tmp_path)
+@pytest.mark.parametrize("case", SACC_PATHS)
+def test_sacc_paths_load_neither_scipy_spatial_nor_scipy_sparse(case, tmp_path):
+    loaded = modules_after(SACC_PATHS[case], tmp_path)
+    assert "coopevo.rbf" in loaded
+    assert [name for name in loaded if name.startswith(("scipy.spatial", "scipy.sparse"))] == []

@@ -1,4 +1,10 @@
+import importlib.machinery
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -513,10 +519,97 @@ def test_prediction_of_training_samples_reuses_kernel_rows(monkeypatch):
     arch = surrogate_archive(5, "random")
     model = train_surrogate(arch)
     rows = []
-    counted = SimpleNamespace(cdist=lambda z, c: rows.append(len(z)) or cdist(z, c))
-    monkeypatch.setattr(rbf, "_distance", lambda: counted)
+    counted = SimpleNamespace(
+        cdist_euclidean=lambda z, c: rows.append(len(z)) or cdist(z, c))
+    monkeypatch.setattr(rbf, "_kernels", lambda: counted)
     model.predict_batch(arch.points[::-1].copy())
     model.predict_batch(np.concatenate([arch.points[:4], np.full((2, 5), 0.25)]))
     assert rows == [0, 2]  # distances only for the rows that are not centers
     model.predict_batch(np.full((3, 5), 0.25))
     assert rows == [0, 2, 3]
+
+
+# The kernels rbf loads on its own, checked against scipy's public cdist and
+# pdist in a fresh interpreter: once with coopevo loading them before
+# scipy.spatial is imported, once after. Each order also runs a tiny sacc
+# experiment, whose final value must not depend on the order.
+KERNEL_ORDERS = {
+    "coopevo-first": (
+        "from coopevo import harness, rbf\n"
+        "final_f = tiny_sacc(harness)\n"
+        "spatial_before = 'scipy.spatial' in sys.modules\n"
+        "from scipy.spatial import distance\n"
+    ),
+    "scipy-first": (
+        "from scipy.spatial import distance\n"
+        "spatial_before = True\n"
+        "from coopevo import harness, rbf\n"
+        "final_f = tiny_sacc(harness)\n"
+    ),
+}
+KERNEL_CHECK = """
+kernels = rbf._kernels()
+rng = np.random.default_rng(3)
+shapes = [(100, 250, 50), (10, 240, 50), (100, 100, 20), (0, 4, 3), (1, 4, 3), (4, 0, 3), (4, 1, 3)]
+blocks = [(rng.random((a, s)), rng.random((b, s))) for a, b, s in shapes]
+with_nan = rng.random((5, 3))
+with_nan[2, 1] = np.nan
+blocks.append((with_nan, rng.random((4, 3))))
+mismatched = []
+for x, y in blocks:
+    for metric in ("euclidean", "chebyshev"):
+        cdist_kernel = getattr(kernels, "cdist_" + metric)
+        pdist_kernel = getattr(kernels, "pdist_" + metric)
+        pairs = [(cdist_kernel(x, y), distance.cdist(x, y, metric)),
+                 (pdist_kernel(x), distance.pdist(x, metric)),
+                 (pdist_kernel(y), distance.pdist(y, metric))]
+        for got, want in pairs:
+            if got.shape != want.shape or got.tobytes() != want.tobytes():
+                mismatched.append([metric, x.shape, y.shape])
+print(json.dumps({"spatial_before": spatial_before, "final_f": final_f,
+                  "same_module": kernels is distance._distance_pybind,
+                  "mismatched": mismatched}))
+"""
+TINY_SACC = """
+import json, sys
+import numpy as np
+
+def tiny_sacc(harness):
+    config = harness.ExperimentConfig(functions=("f01",), dim=20, algorithm="sacc",
+                                      budget=600, runs=1)
+    return harness.run_experiment(config, write=False).records["f01"][0].final_f
+"""
+
+
+def fresh_kernel_check(order, tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = TINY_SACC + KERNEL_ORDERS[order] + KERNEL_CHECK
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_loaded_kernels_are_bit_equal_to_cdist_and_pdist_in_either_import_order(tmp_path):
+    reports = {order: fresh_kernel_check(order, tmp_path) for order in KERNEL_ORDERS}
+    for report in reports.values():
+        assert report["mismatched"] == []
+        assert report["same_module"]
+    assert not reports["coopevo-first"]["spatial_before"]
+    assert reports["coopevo-first"]["final_f"] == reports["scipy-first"]["final_f"]
+
+
+def test_kernel_loader_names_a_missing_file_or_function(monkeypatch):
+    monkeypatch.delitem(sys.modules, rbf.KERNEL_MODULE, raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    rbf._kernels.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=r"_distance_pybind\.missing'\] exists"):
+            rbf._kernels()
+        partial = SimpleNamespace(__file__="kernels.so", cdist_euclidean=cdist)
+        monkeypatch.setitem(sys.modules, rbf.KERNEL_MODULE, partial)
+        with pytest.raises(ImportError, match="kernels.so has no function pdist_euclidean"):
+            rbf._kernels()
+    finally:
+        rbf._kernels.cache_clear()
