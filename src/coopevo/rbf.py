@@ -15,21 +15,31 @@ does not depend on the magnitude of the variable bounds; labels stay in raw
 units.
 
 One optimizer step trains a model and predicts the parents and the trials
-with it, and it does each distance only once:
+with it, and it does each distance only once and allocates nothing large
+beyond the bordered system and one distance block:
 
 - Phi is symmetric with a zero diagonal, so training takes the d(d-1)/2
-  pairwise distances (``pdist``) and cubes only those. The entries are
+  pairwise distances (``pdist``) and cubes them in place. The entries are
   bit-equal to the full ``cdist`` block.
-- The model keeps the unridged Phi as ``kernel``. A prediction row whose
-  scaled coordinates are bit-equal to a center takes that center's kernel
-  row, and only the other rows go through ``cdist``; the assembled matrix,
-  and so the prediction, is bit-equal to the full block. With seed 1,
-  0.89 of parent rows are centers on f01 100-d and 0.92 on f14 1000-d, but
-  only 2 of 30 000 and 1 of 20 000 trial rows are: so a batch with a
-  center reuses rows, and a batch without one skips the lookup's copy.
-- The bordered system is symmetric and is allocated in Fortran order, the
-  layout LAPACK reads, so ``np.linalg.solve`` copies it without a
-  transpose and returns the same solution.
+- The bordered system is allocated in Fortran order, the layout LAPACK
+  reads, so ``np.linalg.solve`` copies it without a transpose and returns
+  the same solution. The cubed distances are scattered straight into its
+  Phi block, each to both of its places, and Q and Q^T are written into
+  it directly: no separate Phi or Q is built.
+- The model's ``kernel`` is a view of that Phi block, transposed so that
+  its rows are contiguous; Phi is exactly symmetric, so the view is Phi.
+  The ridge fallback ridges the system only after copying the kernel out,
+  so a model always holds the unridged Phi.
+- A prediction row whose scaled coordinates equal a center takes that
+  center's kernel row, and only the other rows go through ``cdist``; the
+  assembled matrix, and so the prediction, is bit-equal to the full block.
+  Each row's one candidate center is the first with the same coordinate
+  sum, found by binary search in the centers' sorted sums, and it is taken
+  only if every coordinate compares equal. A row that misses (two centers
+  with one sum, a NaN) goes through ``cdist`` and gives the same bits. With
+  seed 1, 0.89 of parent rows are centers on f01 100-d and 0.92 on f14
+  1000-d, but only 2 of 30 000 and 1 of 20 000 trial rows are: so a batch
+  with a center reuses rows, and a batch without one skips the copy.
 
 The samples come from a ``TrainingArchive``: two plain arrays, rows oldest
 first, that ``push`` and ``rebase`` replace rather than write in place, so
@@ -100,11 +110,12 @@ def _kernels():
 
 
 @lru_cache(maxsize=8)  # a run has one archive size per sub-problem size
-def _triangle_positions(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions in a (d, d) array of the strict upper triangle, in
+def _triangle_positions(d: int, ld: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions, in a Fortran-ordered array with leading dimension
+    ``ld``, of the strict upper triangle of its leading (d, d) block in
     ``pdist``'s condensed order, and of their mirror images."""
     i, j = np.triu_indices(d, 1)
-    upper, lower = i * d + j, j * d + i
+    upper, lower = i + j * ld, j + i * ld
     upper.setflags(write=False)
     lower.setflags(write=False)
     return upper, lower
@@ -222,8 +233,9 @@ def _unit_box(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray
 class RbfModel:
     """Trained surrogate; ``centers`` are the training samples in unit-box
     coordinates, kept so predictions and audits evaluate the exact fitted
-    form. ``kernel`` is the unridged Phi block the model was trained on;
-    ``predict_batch`` reuses its rows for inputs that are centers."""
+    form. ``kernel`` is the unridged Phi block the model was trained on,
+    usually a view of the training system; ``predict_batch`` reuses its
+    rows for inputs that are centers."""
 
     omega: np.ndarray         # (d,) radial weights
     beta: np.ndarray          # (s,) linear-tail coefficients (unit-box space)
@@ -231,35 +243,37 @@ class RbfModel:
     centers: np.ndarray       # (d, s) scaled training samples
     lower: np.ndarray
     upper: np.ndarray
-    kernel: np.ndarray        # (d, d) ||c_i - c_j||^3, without the ridge
+    kernel: np.ndarray        # (d, d) ||c_i - c_j||^3, without the ridge; rows contiguous
     regularized: bool = False
 
-    @staticmethod
-    def _row_keys(z: np.ndarray) -> list[bytes]:
-        # the raw bytes of each row: equal keys mean bit-equal coordinates
-        z = np.ascontiguousarray(z)
-        return z.view(f"V{z.itemsize * z.shape[1]}").ravel().tolist()
-
     @cached_property
-    def _center_row(self) -> dict[bytes, int]:
-        return dict(zip(self._row_keys(self.centers), range(len(self.centers))))
+    def _center_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """The centers' coordinate sums in ascending order, and the center
+        each belongs to; a stable sort keeps equal sums in center order."""
+        sums = self.centers.sum(axis=1)
+        order = np.argsort(sums, kind="stable")
+        return sums[order], order
 
     def predict_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = float_array("xs", xs, (None, self.lower.size))
         z = _unit_box(xs, self.lower, self.upper)
         # an input that is a center has that center's kernel row as its row
         # of cdist(z, centers) ** 3, bit for bit; about 9 in 10 parent rows
-        # are centers, trial rows almost never (module docstring)
-        found = np.array([self._center_row.get(key, -1) for key in self._row_keys(z)],
-                         dtype=np.intp)
-        hit = found >= 0
+        # are centers, trial rows almost never (module docstring). A row's
+        # candidate is the first center with its sum, accepted only if all
+        # coordinates compare equal; a -0.0 equals 0.0, and no distance
+        # tells them apart.
+        sums, order = self._center_sums
+        cand = order[np.minimum(np.searchsorted(sums, z.sum(axis=1)), len(sums) - 1)]
+        hit = np.all(z == self.centers[cand], axis=1)
         cdist = _kernels().cdist_euclidean
         if hit.any():
             k = np.empty((len(z), len(self.centers)))
-            k[hit] = self.kernel[found[hit]]
+            k[hit] = self.kernel[cand[hit]]
             k[~hit] = cdist(z[~hit], self.centers) ** 3
         else:  # nearly every batch of trials; skip the copy
-            k = cdist(z, self.centers) ** 3
+            k = cdist(z, self.centers)
+            np.power(k, 3, out=k)
         return k @ self.omega + z @ self.beta + self.alpha
 
 
@@ -285,22 +299,25 @@ def train_surrogate(archive: TrainingArchive) -> RbfModel:
     centers = _unit_box(archive.points, archive.lower, archive.upper)
     labels = archive.values
 
-    # Phi from the condensed r^3 vector, each entry copied to both of its
-    # places: the same matrix as squareform's
-    r3 = _kernels().pdist_euclidean(centers) ** 3
-    upper, lower = _triangle_positions(d)
-    phi = np.zeros((d, d))
-    flat = phi.ravel()
+    # the bordered system, written in place: the condensed r^3 vector with
+    # each entry in both of its places of the Phi block (the same matrix as
+    # squareform's), then Q = (centers, 1) and Q^T
+    ld = d + s + 1
+    a = np.zeros((ld, ld), order="F")
+    r3 = _kernels().pdist_euclidean(centers)
+    np.power(r3, 3, out=r3)
+    upper, lower = _triangle_positions(d, ld)
+    flat = a.T.ravel()  # a view: a.T is C-contiguous
     flat[upper] = r3
     flat[lower] = r3
-    q = np.hstack([centers, np.ones((d, 1))])
-    a = np.zeros((d + s + 1, d + s + 1), order="F")
-    a[:d, :d] = phi.T  # phi is exactly symmetric; .T matches a's layout
-    a[:d, d:] = q
-    a[d:, :d] = q.T
+    a[:d, d:d + s] = centers
+    a[:d, d + s] = 1.0
+    a[d:d + s, :d] = centers.T
+    a[d + s, :d] = 1.0
+    phi = a[:d, :d].T  # Phi is exactly symmetric; .T makes its rows contiguous
     rhs = np.concatenate([labels, np.zeros(s + 1)])
 
-    def build(sol, regularized):
+    def build(sol, kernel, regularized):
         return RbfModel(
             omega=sol[:d],
             beta=sol[d:d + s].copy(),
@@ -308,23 +325,27 @@ def train_surrogate(archive: TrainingArchive) -> RbfModel:
             centers=centers,
             lower=archive.lower.copy(),
             upper=archive.upper.copy(),
-            kernel=phi,
+            kernel=kernel,
             regularized=regularized,
         )
 
     try:
         sol = np.linalg.solve(a, rhs)
         if np.all(np.isfinite(sol)):
-            residual = phi @ sol[:d] + q @ sol[d:] - labels
+            residual = phi @ sol[:d] + a[:d, d:] @ sol[d:] - labels
             tol = INTERP_RTOL * max(1.0, float(np.max(np.abs(labels))))
             if np.max(np.abs(residual)) <= tol:
-                return build(sol, False)
+                return build(sol, phi, False)
     except np.linalg.LinAlgError:
         pass
 
     # ridge on the radial block; the cubic kernel has a zero diagonal so the
     # scale is taken from the mean off-diagonal entry. np.linalg.solve copies
     # its inputs, so ``a`` still holds the unridged system at this point.
+    # The ridge is written into ``a``, which ``phi`` views, so the model
+    # keeps a C-ordered copy; its mean sums in the order of a separately
+    # built Phi's, where the strided view's would not.
+    phi = phi.copy()
     lam = 1e-10 * float(phi.mean())
     if lam <= 0.0:
         lam = 1e-12
@@ -340,4 +361,4 @@ def train_surrogate(archive: TrainingArchive) -> RbfModel:
             raise TrainingError("interpolation system singular") from exc
     if not np.all(np.isfinite(sol)):
         raise TrainingError("interpolation system produced non-finite weights")
-    return build(sol, True)
+    return build(sol, phi, True)

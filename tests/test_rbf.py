@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -527,6 +528,90 @@ def test_prediction_of_training_samples_reuses_kernel_rows(monkeypatch):
     assert rows == [0, 2]  # distances only for the rows that are not centers
     model.predict_batch(np.full((3, 5), 0.25))
     assert rows == [0, 2, 3]
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicate", "rank-deficient"])
+@pytest.mark.parametrize("s", [1, 5, 20, 50])
+def test_model_kernel_is_the_unridged_phi_on_every_training_path(s, kind):
+    # the kernel shares memory with the system that the ridge path ridges
+    arch = surrogate_archive(s, kind)
+    model = train_surrogate(arch)
+    assert model.kernel.tobytes() == (cdist(model.centers, model.centers) ** 3).tobytes()
+    got = model.predict_batch(arch.points)
+    assert got.tobytes() == full_kernel_prediction(model, arch.points).tobytes()
+
+
+# Dyadic rows on the unit box: they scale to themselves and their sums are
+# exact in any order. A and B are centers with one sum, so B is never the
+# candidate; C is not a center but has D's sum; D holds a 0.0.
+ROW_A = [0.25, 0.5, 0.125, 0.375, 0.0625]
+ROW_B = [0.5, 0.25, 0.125, 0.375, 0.0625]
+ROW_C = [0.0, 0.75, 0.125, 0.0625, 0.5]
+ROW_D = [0.75, 0.0, 0.125, 0.0625, 0.5]
+NEGATIVE_ZERO = [0.75, -0.0, 0.125, 0.0625, 0.5]
+NAN_ROW = [0.75, np.nan, 0.125, 0.0625, 0.5]
+
+
+@pytest.mark.parametrize("batch", [
+    "same-sum-as-a-center", "equal-sum-centers", "equal-sum-centers-reversed",
+    "negative-zero", "nan", "all-centers", "no-centers", "empty"])
+def test_center_matching_edge_cases_are_bit_equal_to_full_kernel_formula(batch):
+    rng = np.random.default_rng(14)
+    pts = rng.uniform(0.0, 1.0, (30, 5))
+    pts[[3, 7, 11]] = [ROW_A, ROW_B, ROW_D]
+    arch = filled_archive(pts, rng.normal(size=30), lower=np.zeros(5), upper=np.ones(5))
+    model = train_surrogate(arch)
+    assert np.array_equal(model.centers[[3, 7, 11]], [ROW_A, ROW_B, ROW_D])
+    assert np.sum(ROW_A) == np.sum(ROW_B) and np.sum(ROW_C) == np.sum(ROW_D)
+    xs = np.array({
+        "same-sum-as-a-center": [ROW_C],
+        "equal-sum-centers": [ROW_A, ROW_B],
+        "equal-sum-centers-reversed": [ROW_B, ROW_A],
+        "negative-zero": [NEGATIVE_ZERO],
+        "nan": [NAN_ROW, ROW_D],
+        "all-centers": pts[::-1],
+        "no-centers": rng.uniform(0.0, 1.0, (8, 5)),
+        "empty": np.empty((0, 5)),
+    }[batch])
+    got = model.predict_batch(xs)
+    assert got.shape == (len(xs),)
+    assert got.tobytes() == full_kernel_prediction(model, xs).tobytes()
+
+
+def traced_peak(call):
+    """The peak of the memory that ``call`` allocates, numpy's buffers
+    included, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# 250 x 50 is f14 1000-d's archive, and 100 the trial batch of a generation.
+GUARD_D, GUARD_S, GUARD_ROWS = 250, 50, 100
+
+
+def guard_archive():
+    rng = np.random.default_rng(15)
+    arch = filled_archive(rng.uniform(-10, 10, (GUARD_D, GUARD_S)), rng.normal(size=GUARD_D))
+    train_surrogate(arch)  # loads the kernels and caches the triangle positions
+    return arch
+
+
+def test_training_allocates_only_the_system_the_distances_and_the_centers():
+    d, s = GUARD_D, GUARD_S
+    arch = guard_archive()
+    peak = traced_peak(lambda: train_surrogate(arch))
+    assert peak <= ((d + s + 1) ** 2 + d * (d - 1) // 2 + d * s) * 8 * 1.1
+
+
+def test_prediction_of_trials_allocates_only_one_distance_block():
+    model = train_surrogate(guard_archive())
+    trials = np.random.default_rng(16).uniform(-10, 10, (GUARD_ROWS, GUARD_S))
+    peak = traced_peak(lambda: model.predict_batch(trials))
+    assert peak <= (GUARD_ROWS * GUARD_D + GUARD_ROWS * GUARD_S) * 8 * 1.1
 
 
 # The kernels rbf loads on its own, checked against scipy's public cdist and
