@@ -29,3 +29,8 @@ print(f"real evaluations in the loop: {record.loop_real_evals} "
       f"out of {record.loop_trials} trials "
       f"({record.loop_real_evals / record.loop_trials:.0%})")
 print(f"context vector improved {record.context_updates} times")
+# each adoption book-keeps the context fitness from a stored improvement; on
+# a separable problem that matches the sum of the context's group terms up
+# to rounding, while interacting sub-problems would show here as drift
+print(f"largest gap between book-kept and summed context fitness: "
+      f"{record.max_context_gap:.1e} (relative)")

@@ -35,7 +35,6 @@ from .harness import (
 )
 from .rbf import RbfModel, TrainingArchive, TrainingError, train_surrogate
 from .runtime import (
-    AuditFailure,
     BudgetExhausted,
     ContextState,
     CooperativeRun,
@@ -54,7 +53,6 @@ from .surrogate_cc import SurrogateCC, initialization_cost
 
 __all__ = [
     "BASES",
-    "AuditFailure",
     "BenchmarkFunction",
     "BudgetExhausted",
     "ContextState",

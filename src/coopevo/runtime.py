@@ -45,10 +45,6 @@ class BudgetExhausted(RuntimeError):
     """Raised when a real evaluation is requested with no budget left."""
 
 
-class AuditFailure(RuntimeError):
-    """Raised in audit mode when book-kept values drift from re-evaluation."""
-
-
 class FeBudget:
     """Strict counter of real fitness evaluations."""
 
@@ -121,8 +117,7 @@ class RunRecord:
     reeval_evals: int = 0
     fallback_generations: int = 0
     context_updates: int = 0
-    max_audit_rel_err: float = 0.0
-    max_crosscheck_err: float = 0.0
+    max_context_gap: float = 0.0
 
     HEADER = ("generation", "sub_id", "fe_used", "f_best")
 
@@ -236,12 +231,21 @@ class CooperativeRun:
         return np.array(f, dtype=float)
 
     def adopt(self, sub: SubProblem, x_g: np.ndarray, f: float):
-        """Replace the context by ``x_g`` embedded into it, with real fitness
-        ``f`` and the terms of the groups ``sub`` touches recomputed."""
+        """Replace the context by ``x_g`` embedded into it, with fitness
+        ``f`` and the terms of the groups ``sub`` touches recomputed.
+
+        The sum of the new terms is ``fn(x)`` bit for bit, so the record's
+        ``max_context_gap`` keeps the largest relative gap between it and
+        ``f`` without another objective call. It stays at rounding level
+        unless ``f`` is book-kept from gains that interacting sub-problems
+        made stale."""
         x = embed(self.context.x, sub, x_g)
         known = self.fn.known(self.context.terms, self.touched[sub.sid])
         self.context = ContextState(x, f, self.fn.terms(x, known))
         self.record.context_updates += 1
+        total = sum(self.context.terms.tolist())
+        gap = abs(total - f) / max(1.0, abs(total))
+        self.record.max_context_gap = max(self.record.max_context_gap, gap)
 
     def finish(self) -> RunRecord:
         """Store the final context in the record and return it."""

@@ -13,11 +13,11 @@ All stored values are fitness improvements relative to the current context;
 whenever the context improves by ``delta``, the affected sub-problem's
 stored improvements are shifted down by ``delta`` so they stay comparable.
 
-This module holds only that evaluation policy (surrogate screening, the
-training archives and the audit); seeding, budget, context and run record
-come from ``runtime.CooperativeRun``, and the population, trial generation
-and SHADE adaptation from ``shade.SubState``, exactly as in the
-full-evaluation baseline. Every charged evaluation, the initial pool and the
+This module holds only that evaluation policy (surrogate screening and the
+training archives); seeding, budget, context and run record come from
+``runtime.CooperativeRun``, and the population, trial generation and SHADE
+adaptation from ``shade.SubState``, exactly as in the full-evaluation
+baseline. Every charged evaluation, the initial pool and the
 screened trials alike, goes through the one charged row evaluator,
 ``CooperativeRun.evaluate_rows``.
 """
@@ -30,12 +30,10 @@ from typing import Callable
 import numpy as np
 
 from .benchmarks import BenchmarkFunction
-from .decomposition import Decomposition, embed
+from .decomposition import Decomposition
 from .rbf import TrainingArchive, TrainingError, train_surrogate
-from .runtime import AuditFailure, BudgetExhausted, CooperativeRun, RunParams, RunRecord
+from .runtime import BudgetExhausted, CooperativeRun, RunParams, RunRecord
 from .shade import select_best, two_step_select, worst_replacement
-
-AUDIT_RTOL = 1e-9
 
 
 @dataclass
@@ -60,13 +58,7 @@ def initialization_cost(decomposition: Decomposition, params: RunParams) -> int:
 
 
 class SurrogateCC(CooperativeRun):
-    """One seeded run of the surrogate-assisted optimizer.
-
-    ``audit=True`` re-evaluates the context after every context update (not
-    charged to the budget) and verifies the kept context terms (bit for
-    bit), the book-kept context fitness and a spot-checked stored
-    improvement of an uninvolved sub-problem.
-    """
+    """One seeded run of the surrogate-assisted optimizer."""
 
     algorithm = "sacc"
     min_budget = staticmethod(initialization_cost)
@@ -77,10 +69,8 @@ class SurrogateCC(CooperativeRun):
         decomposition: Decomposition,
         params: RunParams,
         seed: int,
-        audit: bool = False,
     ):
         super().__init__(fn, decomposition, params, seed)
-        self.audit = audit
 
         self.subs = []
         self.archives: list[TrainingArchive] = []
@@ -154,40 +144,10 @@ class SurrogateCC(CooperativeRun):
             archive.rebase(gain)
             st.pop_vals -= gain
             context_updated = True
-            if self.audit:
-                self._run_audit(g)
 
         self.cursor = (self.cursor + 1) % self.decomposition.k
         self.close_generation(g, evaluated.size, self.context.f)
         return GenReport(p, evaluated.size, successes, context_updated, truncated, fallback)
-
-    def _run_audit(self, g: int):
-        # uncharged re-evaluations; failures indicate book-keeping drift
-        fresh_terms = self.fn.terms(self.context.x)
-        if not np.array_equal(fresh_terms, self.context.terms, equal_nan=True):
-            bad = np.flatnonzero(fresh_terms != self.context.terms).tolist()
-            raise AuditFailure(f"kept context terms of groups {bad} differ from re-evaluation")
-        fresh = sum(fresh_terms.tolist())  # fn(context.x), bit for bit
-        rel = abs(fresh - self.context.f) / max(1.0, abs(fresh))
-        self.record.max_audit_rel_err = max(self.record.max_audit_rel_err, rel)
-        if rel > AUDIT_RTOL:
-            raise AuditFailure(
-                f"context fitness drift {rel:.3e} (kept {self.context.f!r}, "
-                f"re-evaluated {fresh!r})"
-            )
-        if self.decomposition.k > 1:
-            h = (g + 1) % self.decomposition.k
-            other = self.subs[h]
-            stored = float(other.pop_vals[0])
-            fresh_imp = self.context.f - self.fn(
-                embed(self.context.x, other.sub, other.pop[0])
-            )
-            err = abs(fresh_imp - stored) / max(1.0, abs(stored))
-            self.record.max_crosscheck_err = max(self.record.max_crosscheck_err, err)
-            if err > AUDIT_RTOL:
-                raise AuditFailure(
-                    f"stored improvement of sub-problem {h} drifted by {err:.3e}"
-                )
 
     def run(self) -> RunRecord:
         """Step until the evaluation budget is exhausted."""

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from audit import Audit
 from coopevo.benchmarks import get_function, make_separable
 from coopevo.decomposition import embed, ideal_decompose
 from coopevo.harness import ExperimentConfig, cohens_d, fes_to_match, mean_curve, run_experiment
@@ -150,8 +151,9 @@ def test_criterion_4_rebase_consistency_audited_run():
     fn = get_function("f10", 100, seed=1)  # ten rotated groups + separable part
     decomp = ideal_decompose(fn, 10)
     params = RunParams(max_fe=initialization_cost(decomp, RunParams(max_fe=10**9)) + 10 * 1000)
-    opt = SurrogateCC(fn, decomp, params, seed=3, audit=True)
-    record = opt.run()
+    opt = SurrogateCC(fn, decomp, params, seed=3)
+    audit = Audit(opt)
+    record = audit.run()
     generations = len(record.rows) - 1
 
     # full sweep on top of the per-update audits: every stored improvement of
@@ -166,16 +168,16 @@ def test_criterion_4_rebase_consistency_audited_run():
     ok = (
         generations == 1000
         and record.context_updates > 0
-        and record.max_audit_rel_err <= 1e-9
-        and record.max_crosscheck_err <= 1e-9
+        and audit.max_rel_err <= 1e-9
+        and audit.max_crosscheck_err <= 1e-9
         and sweep_err <= 1e-9
     )
     verdict(
         "criterion 4",
         ok,
         f"{generations} generations, {record.context_updates} context updates: "
-        f"fitness drift {record.max_audit_rel_err:.2e}, cross-sub-problem drift "
-        f"{max(record.max_crosscheck_err, sweep_err):.2e} (both <=1e-9)",
+        f"fitness drift {audit.max_rel_err:.2e}, cross-sub-problem drift "
+        f"{max(audit.max_crosscheck_err, sweep_err):.2e} (both <=1e-9)",
     )
 
 

@@ -2,8 +2,9 @@
 ``__all__`` matches what it binds, every name the benchmark's tracer
 wraps still exists, no path loads ``scipy.spatial`` (``sacc`` loads only
 scipy's compiled distance kernels),
-``benchmarks.check_integer`` is the package's one integer test and
-``benchmarks.float_array`` its one array-shape check.
+``benchmarks.check_integer`` is the package's one integer test,
+``benchmarks.float_array`` its one array-shape check, and ``runtime`` the
+only module outside ``benchmarks`` that calls the objective.
 
 A standard-library stand-in for a linter's unused-import rule. Names listed
 in a module's ``__all__`` count as used (re-exports), and ``from __future__``
@@ -115,9 +116,9 @@ INTEGER_TEST = re.compile(r"\bis bool\b|isinstance\(.*\bbool\b|np\.integer")
 SHAPE_TEST = re.compile(r"\.(shape(\[[^]]*\])?|ndim)\s*!=|np\.shape\(.*\)\s*!=")
 
 
-def scan_package(pattern: re.Pattern, owner: str) -> tuple[list[str], list[str]]:
+def scan_package(pattern: re.Pattern, owner: str | None = None) -> tuple[list[str], list[str]]:
     """The files that define ``owner``, and every line of ``src/coopevo``
-    outside it that ``pattern`` finds."""
+    outside it that ``pattern`` finds (every line, with no ``owner``)."""
     found, owners = [], []
     for path in sorted((ROOT / "src/coopevo").glob("*.py")):
         source = path.read_text()
@@ -148,6 +149,24 @@ def test_shape_scan_finds_each_spelling():
 
 def test_float_array_is_the_only_shape_test():
     assert scan_package(SHAPE_TEST, "float_array") == (["benchmarks.py"], [])
+
+
+# the spellings of "call the objective": the function itself, its full
+# evaluation or its group terms
+OBJECTIVE_CALL = re.compile(r"\bfn\(|\.(evaluate|terms)\(")
+
+
+def test_only_runtime_calls_the_objective():
+    # every objective call a run makes is charged, through runtime's x0 and
+    # evaluate_rows, or is adopt's uncharged refresh of the context's terms;
+    # perfbench's traced run checks that charged evaluations and evaluate
+    # calls agree, so no optimizer may call the objective on its own
+    for line in ("f = self.fn(x)", "fn.evaluate(x, known=known)", "self.fn.terms(x0)"):
+        assert OBJECTIVE_CALL.search(line), line
+    assert not OBJECTIVE_CALL.search("self.fn.known(terms, groups); loss_fn(x)")
+    _, found = scan_package(OBJECTIVE_CALL)
+    allowed = ("src/coopevo/benchmarks.py:", "src/coopevo/runtime.py:")
+    assert [line for line in found if not line.startswith(allowed)] == []
 
 
 # Each case runs in a fresh interpreter, with BLAS pinned to one thread, and

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coopevo.benchmarks import BenchmarkFunction, get_function, make_separable
+from coopevo.benchmarks import FUNCTION_IDS, BenchmarkFunction, get_function, make_separable
 from coopevo.decomposition import ideal_decompose
 from coopevo.runtime import CooperativeRun, GenRow, RunParams
 from coopevo.shade import SubState
@@ -112,8 +112,8 @@ def test_trace_ends_at_the_last_charged_evaluation(cls):
 
 @pytest.mark.parametrize("fid", ["f01", "f05", "f10", "f14", "f17"])
 def test_context_keeps_exact_terms_over_a_whole_run(fid):
-    # shade-cc has no audit mode: check the context's kept terms at the end
-    # of a run instead; it adopts a real fitness, so both checks are exact
+    # check the context's kept terms at the end of a run; shade-cc adopts a
+    # real fitness, so both checks are exact
     fn = get_function(fid, 40, 1)
     decomp = ideal_decompose(fn, 7)
     cc = ShadeCC(fn, decomp, RunParams(max_fe=3000, p=20, visit_len=3), seed=2)
@@ -121,6 +121,18 @@ def test_context_keeps_exact_terms_over_a_whole_run(fid):
     assert record.context_updates > 0
     assert cc.context.terms.tolist() == fn.terms(cc.context.x).tolist()
     assert cc.context.f == fn(cc.context.x)
+
+
+def test_context_gap_is_zero_on_the_whole_suite():
+    # the harvest adopts a value evaluated under the current context, so
+    # the book-kept context fitness is the sum of its terms on every
+    # function, the split ackley groups of f03, f06 and f11 included
+    for fid in FUNCTION_IDS:
+        fn = get_function(fid, 40, 1)
+        decomp = ideal_decompose(fn, 5)
+        record = ShadeCC(fn, decomp, RunParams(max_fe=1501, p=20, visit_len=3), seed=3).run()
+        assert record.context_updates > 0, fid
+        assert record.max_context_gap == 0.0, fid
 
 
 def test_improves_on_single_block_problem():
@@ -201,8 +213,8 @@ def test_every_charge_after_x0_goes_through_evaluate_rows(case, monkeypatch):
         fn, s_sep = make_separable("sphere", 10, 1), 5
     else:
         fn, s_sep = get_function(fid, 40, 1), 2
-    # with the audit off (the default) every objective call is charged, one
-    # per row: perfbench counts charged evaluations as evaluate calls
+    # every objective call is charged, one per row: perfbench counts charged
+    # evaluations as evaluate calls
     calls = []
     evaluate = BenchmarkFunction.evaluate
 
