@@ -25,8 +25,8 @@ def improvement(x_g):
 
 # an archive holds the newest d = 5*s real-evaluated samples
 d = 5 * sub.s
-archive = TrainingArchive(d, sub.lower, sub.upper)
-samples = rng.uniform(sub.lower, sub.upper, (d, sub.s))
+archive = TrainingArchive(d, fn.lower[sub.indices], fn.upper[sub.indices])
+samples = rng.uniform(fn.lower[sub.indices], fn.upper[sub.indices], (d, sub.s))
 archive.push(samples, np.array([improvement(x) for x in samples]))
 
 model = train_surrogate(archive)
@@ -38,7 +38,7 @@ resid = np.max(np.abs(model.predict_batch(samples) - archive.values))
 print(f"max residual at the training samples: {resid:.2e}")
 
 # off-sample quality: rank correlation is what the optimizer actually needs
-probes = rng.uniform(sub.lower, sub.upper, (200, sub.s))
+probes = rng.uniform(fn.lower[sub.indices], fn.upper[sub.indices], (200, sub.s))
 truth = np.array([improvement(x) for x in probes])
 pred = model.predict_batch(probes)
 rank_truth = np.argsort(np.argsort(truth))

@@ -24,10 +24,10 @@ while not opt.budget.exhausted:
         print(f"{opt.generation:>10} {opt.budget.used:>10} {opt.context.f:>12.4e}")
 
 record = opt.finish()
+trials = params.p * record.rows[-1].generation  # p trials per generation
 print(f"\nfinal value: {record.final_f:.4e}")
 print(f"real evaluations in the loop: {record.loop_real_evals} "
-      f"out of {record.loop_trials} trials "
-      f"({record.loop_real_evals / record.loop_trials:.0%})")
+      f"out of {trials} trials ({record.loop_real_evals / trials:.0%})")
 print(f"context vector improved {record.context_updates} times")
 # each adoption book-keeps the context fitness from a stored improvement; on
 # a separable problem that matches the sum of the context's group terms up

@@ -19,23 +19,18 @@ from .benchmarks import BenchmarkFunction, check_integer, check_partition, float
 
 @dataclass(frozen=True)
 class SubProblem:
-    """One variable block: which indices it owns and their box bounds.
-    ``indices`` may be any 1-D sequence; it is stored as an array, and
-    ``Decomposition`` checks that its entries are integers."""
+    """One variable block: the indices it owns; its bounds are the function's
+    at those indices. ``indices`` may be any 1-D sequence; it is stored as an
+    array, and ``Decomposition`` checks that its entries are integers."""
 
     sid: int
     indices: np.ndarray          # original variable indices, fixed order
-    lower: np.ndarray
-    upper: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "indices", np.asarray(self.indices))
         float_array("indices", self.indices, (None,))  # the shape check alone
         if self.indices.size < 1:
             raise ValueError("sub-problem must own at least one variable")
-        for name in ("lower", "upper"):
-            bound = float_array(name, getattr(self, name), self.indices.shape)
-            object.__setattr__(self, name, bound)
 
     @property
     def s(self) -> int:
@@ -78,16 +73,14 @@ def ideal_decompose(fn: BenchmarkFunction, s_sep: int) -> Decomposition:
     The indices of every separable group (``rotation is None``) are pooled,
     sorted ascending and cut into chunks of ``s_sep`` (the final chunk may
     be smaller); then each rotated group becomes one sub-problem verbatim,
-    in table order. Bounds come from ``fn.lower`` and ``fn.upper``.
-    Deterministic.
+    in table order. Deterministic.
     """
     check_integer("s_sep", s_sep, 1)
 
     subs: list[SubProblem] = []
 
     def add(indices):
-        idx = np.asarray(indices, dtype=int)
-        subs.append(SubProblem(len(subs), idx, fn.lower[idx], fn.upper[idx]))
+        subs.append(SubProblem(len(subs), np.asarray(indices, dtype=int)))
 
     sep = sorted(i for g in fn.groups if g.rotation is None for i in g.indices)
     for start in range(0, len(sep), s_sep):

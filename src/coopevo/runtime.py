@@ -112,7 +112,6 @@ class RunRecord:
     rows: list[GenRow] = field(default_factory=list)
     final_x: np.ndarray | None = None
     final_f: float = float("nan")
-    loop_trials: int = 0
     loop_real_evals: int = 0
     reeval_evals: int = 0
     fallback_generations: int = 0
@@ -132,8 +131,8 @@ class RunRecord:
 class CooperativeRun:
     """Scaffolding of one seeded cooperative-coevolution run.
 
-    Owns everything both optimizers share: the seed, dimension, box and
-    budget checks, the evaluation budget, the seed streams (``rng`` for the run,
+    Owns everything both optimizers share: the seed, dimension and budget
+    checks, the evaluation budget, the seed streams (``rng`` for the run,
     ``sub_rngs[g]`` per sub-problem), the charged random context vector, the
     seeding of each sub-problem's ``SubState`` (``new_sub``), the one charged
     row evaluator ``evaluate_rows``, the round-robin ``cursor``, the
@@ -153,10 +152,6 @@ class CooperativeRun:
         check_integer("seed", seed, 0)
         if decomposition.n != fn.n:
             raise ValueError("decomposition does not match function dimension")
-        for sub in decomposition.subproblems:
-            idx = sub.indices
-            if not np.array_equal([sub.lower, sub.upper], [fn.lower[idx], fn.upper[idx]]):
-                raise ValueError(f"sub-problem {sub.sid}'s bounds differ from the function's box")
         need = self.min_budget(decomposition, params)
         if params.max_fe < need:
             raise ValueError(f"budget {params.max_fe} below initialization cost {need}")
@@ -188,23 +183,23 @@ class CooperativeRun:
         return 1
 
     def new_sub(self, g: int, n: int) -> SubState:
-        """Seed sub-problem ``g`` from ``sub_rngs[g]``: a ``p``-row inferior
-        archive, then ``n`` uniform population rows, all scored ``-inf``."""
+        """Seed sub-problem ``g`` from ``sub_rngs[g]``, in the function's box
+        at its indices: a ``p``-row inferior archive, then ``n`` uniform
+        population rows, all scored ``-inf``."""
         sub, rng = self.decomposition.subproblems[g], self.sub_rngs[g]
-        inferior = rng.uniform(sub.lower, sub.upper, (self.params.p, sub.s))
-        pop = rng.uniform(sub.lower, sub.upper, (n, sub.s))
-        return SubState(
-            sub, pop, np.full(n, -np.inf), ParameterMemory(self.params.memory_size), inferior, rng
-        )
+        lower, upper = self.fn.lower[sub.indices], self.fn.upper[sub.indices]
+        inferior = rng.uniform(lower, upper, (self.params.p, sub.s))
+        pop = rng.uniform(lower, upper, (n, sub.s))
+        memory = ParameterMemory(self.params.memory_size)
+        return SubState(sub, lower, upper, pop, np.full(n, -np.inf), memory, inferior, rng)
 
     def add_row(self, sub_id: int, f_best: float):
         """Trace the current generation, budget use and best value."""
         self.record.rows.append(GenRow(self.generation, sub_id, self.budget.used, f_best))
 
     def close_generation(self, sub_id: int, real_evals: int, f_best: float):
-        """Count one finished generation of ``p`` trials and trace it."""
+        """Count one finished generation and trace it."""
         self.generation += 1
-        self.record.loop_trials += self.params.p
         self.record.loop_real_evals += real_evals
         self.add_row(sub_id, f_best)
 

@@ -208,13 +208,17 @@ def worst_replacement(
 class SubState:
     """SHADE search state of one sub-problem, the same in both optimizers.
 
-    ``pop_vals`` scores the members, larger is better: improvements over the
-    context in ``sacc``, negated fitness in ``shade-cc``. ``inferior`` is
-    the fixed-size pool of beaten parents that donates difference vectors;
-    it is seeded full with random sub-solutions, so donors never run out.
+    ``lower`` and ``upper`` are the function's bounds at ``sub.indices``;
+    trials are kept inside them. ``pop_vals`` scores the members, larger is
+    better: improvements over the context in ``sacc``, negated fitness in
+    ``shade-cc``. ``inferior`` is the fixed-size pool of beaten parents that
+    donates difference vectors; it is seeded full with random sub-solutions,
+    so donors never run out.
     """
 
     sub: SubProblem
+    lower: np.ndarray          # (s,) box of the sub-problem's variables
+    upper: np.ndarray
     pop: np.ndarray            # (p, s) sub-solutions
     pop_vals: np.ndarray       # (p,) their scores, larger is better
     memory: ParameterMemory
@@ -236,7 +240,7 @@ class SubState:
         frac = pbest_fraction(p, self.rng)
         trials = mutate_crossover(
             self.pop, self.pop_vals, self.inferior, f, cr, frac,
-            self.sub.lower, self.sub.upper, self.rng,
+            self.lower, self.upper, self.rng,
         )
         return trials, f, cr
 

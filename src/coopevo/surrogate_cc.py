@@ -40,9 +40,8 @@ from .shade import select_best, two_step_select, worst_replacement
 class GenReport:
     """What one generation did beyond its trace row (mostly for tests and
     instrumentation): the generation, sub-problem and best value are
-    ``record.rows[-1]``."""
+    ``record.rows[-1]``, and its trials are always ``params.p``."""
 
-    trials: int
     real_evals: int
     success_idx: np.ndarray
     context_updated: bool
@@ -78,7 +77,7 @@ class SurrogateCC(CooperativeRun):
             d = params.d_factor * sub.s
             st = self.new_sub(g, max(d, params.p))
             vals = self.context.f - self.evaluate_rows(sub, st.pop)
-            archive = TrainingArchive(d, sub.lower, sub.upper)
+            archive = TrainingArchive(d, st.lower, st.upper)
             archive.push(st.pop[-d:], vals[-d:])
             best = select_best(vals, params.p)
             st.pop, st.pop_vals = st.pop[best], vals[best]
@@ -147,7 +146,7 @@ class SurrogateCC(CooperativeRun):
 
         self.cursor = (self.cursor + 1) % self.decomposition.k
         self.close_generation(g, evaluated.size, self.context.f)
-        return GenReport(p, evaluated.size, successes, context_updated, truncated, fallback)
+        return GenReport(evaluated.size, successes, context_updated, truncated, fallback)
 
     def run(self) -> RunRecord:
         """Step until the evaluation budget is exhausted."""

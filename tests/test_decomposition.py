@@ -46,13 +46,12 @@ def test_partition_is_disjoint_and_exhaustive():
 
 
 def test_decomposition_validates_partition():
-    bounds = np.zeros(4), np.ones(4)
-    sub_a = SubProblem(0, np.array([0, 1]), bounds[0][:2], bounds[1][:2])
-    sub_b = SubProblem(1, np.array([1, 2]), bounds[0][:2], bounds[1][:2])
+    sub_a = SubProblem(0, np.array([0, 1]))
+    sub_b = SubProblem(1, np.array([1, 2]))
     with pytest.raises(ValueError):
         Decomposition((sub_a, sub_b))
     # float indices would otherwise fail later, in embed
-    floats = SubProblem(0, np.array([0.0, 1.0]), bounds[0][:2], bounds[1][:2])
+    floats = SubProblem(0, np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match=re.escape("group entry must be an integer, got 0.0")):
         Decomposition((floats,))
 
@@ -60,8 +59,7 @@ def test_decomposition_validates_partition():
 def test_decomposition_derives_n_from_its_subproblems():
     # n was an argument: True was accepted and written as "n": true, and a
     # numpy integer made to_dict() fail in json.dumps
-    subs = [SubProblem(g, np.array(idx, dtype=np.int64), np.zeros(len(idx)), np.ones(len(idx)))
-            for g, idx in enumerate([[2, 0], [1]])]
+    subs = [SubProblem(g, np.array(idx, dtype=np.int64)) for g, idx in enumerate([[2, 0], [1]])]
     decomp = Decomposition(tuple(subs))
     assert type(decomp.n) is int and decomp.n == 3
     assert json.loads(json.dumps(decomp.to_dict()))["n"] == 3
@@ -73,9 +71,8 @@ def test_decomposition_derives_n_from_its_subproblems():
 
 def test_decomposition_requires_ids_in_order():
     # a run looks each sub-problem's book-keeping up by its id
-    bounds = np.zeros(2), np.ones(2)
-    sub_a = SubProblem(1, np.array([0]), bounds[0][:1], bounds[1][:1])
-    sub_b = SubProblem(0, np.array([1]), bounds[0][:1], bounds[1][:1])
+    sub_a = SubProblem(1, np.array([0]))
+    sub_b = SubProblem(0, np.array([1]))
     with pytest.raises(ValueError, match="ids must be 0..k-1 in order"):
         Decomposition((sub_a, sub_b))
     assert Decomposition((sub_b, sub_a)).k == 2
@@ -113,7 +110,7 @@ def test_suite_decomposition_is_pinned(dim, s_sep, digest):
 
 
 def test_embed_identity_case():
-    sub = SubProblem(0, np.array([1, 3]), np.zeros(2), np.ones(2))
+    sub = SubProblem(0, np.array([1, 3]))
     context = np.array([10.0, 20.0, 30.0, 40.0])
     out = embed(context, sub, context[[1, 3]])
     assert np.array_equal(out, context)
@@ -121,7 +118,7 @@ def test_embed_identity_case():
 
 def test_embed_by_definition():
     # context (a, b, c, d), positions {1, 3} replaced by (p, q)
-    sub = SubProblem(0, np.array([1, 3]), np.zeros(2), np.ones(2))
+    sub = SubProblem(0, np.array([1, 3]))
     context = np.array([1.0, 2.0, 3.0, 4.0])
     out = embed(context, sub, np.array([-7.0, -9.0]))
     assert np.array_equal(out, np.array([1.0, -7.0, 3.0, -9.0]))
@@ -134,34 +131,24 @@ def test_embed_extract_round_trip():
         n = rng.integers(4, 30)
         k = rng.integers(1, n + 1)
         idx = rng.choice(n, size=k, replace=False)
-        sub = SubProblem(0, idx, np.full(k, -1.0), np.full(k, 1.0))
+        sub = SubProblem(0, idx)
         context = rng.normal(size=n)
         x_g = rng.normal(size=k)
         assert np.array_equal(embed(context, sub, x_g)[sub.indices], x_g)
 
 
-def test_subproblem_bounds_must_match_its_indices():
-    idx = np.array([3, 1])
-    with pytest.raises(ValueError, match=re.escape("lower must have shape (2,), got (3,)")):
-        SubProblem(0, idx, np.zeros(3), np.ones(2))
-    with pytest.raises(ValueError, match=re.escape("upper must have shape (2,), got (2, 1)")):
-        SubProblem(0, idx, np.zeros(2), np.ones((2, 1)))
-    sub = SubProblem(0, idx, [0, 0], [1, 2])  # stored as float arrays
-    assert sub.lower.dtype == float and sub.upper.tolist() == [1.0, 2.0]
-
-
 def test_subproblem_stores_an_index_list_as_a_1d_integer_array():
-    sub = SubProblem(0, [0, 1], [0, 0], [1, 1])
+    sub = SubProblem(0, [0, 1])
     assert sub.indices.dtype.kind == "i" and sub.indices.tolist() == [0, 1]
     assert Decomposition((sub,)).n == 2
     assert embed(np.zeros(2), sub, [3.0, 4.0]).tolist() == [3.0, 4.0]
     for indices, shape in ((np.array([[0, 1]]), "(1, 2)"), (0, "()")):
         with pytest.raises(ValueError, match=re.escape(f"indices must have shape (any,), got {shape}")):
-            SubProblem(0, indices, [0, 0], [1, 1])
+            SubProblem(0, indices)
 
 
 def test_embed_rejects_length_mismatch():
-    sub = SubProblem(0, np.array([0, 1]), np.zeros(2), np.ones(2))
+    sub = SubProblem(0, np.array([0, 1]))
     with pytest.raises(ValueError, match=re.escape("x_g must have shape (2,), got (3,)")):
         embed(np.zeros(4), sub, np.zeros(3))
 
@@ -174,8 +161,9 @@ def test_embedded_delta_depends_only_on_own_block():
     decomp = ideal_decompose(fn, 4)
     sub = decomp.subproblems[1]
     rng = np.random.default_rng(8)
-    x_g = rng.uniform(sub.lower, sub.upper)
-    own_slice = rng.uniform(sub.lower, sub.upper)
+    lower, upper = fn.lower[sub.indices], fn.upper[sub.indices]
+    x_g = rng.uniform(lower, upper)
+    own_slice = rng.uniform(lower, upper)
 
     deltas = []
     for _ in range(5):

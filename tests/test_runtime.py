@@ -22,7 +22,7 @@ def check_rows(run, sub, rng):
     fn, x = run.fn, run.context.x
     known = fn.known(fn.terms(x), fn.groups_of(sub.indices))
     for b in BATCH_SIZES:
-        rows = rng.uniform(sub.lower, sub.upper, (b, sub.s))
+        rows = rng.uniform(fn.lower[sub.indices], fn.upper[sub.indices], (b, sub.s))
         used = run.budget.used
         got = run.evaluate_rows(sub, rows)
         want = [fn(embed(x, sub, rows[0]))]
@@ -70,7 +70,8 @@ def test_evaluate_rows_stops_at_the_budget():
     decomp = ideal_decompose(fn, 2)
     run = CooperativeRun(fn, decomp, RunParams(max_fe=4), seed=1)
     sub = decomp.subproblems[3]
-    rows = np.random.default_rng(0).uniform(sub.lower, sub.upper, (5, sub.s))
+    lower, upper = fn.lower[sub.indices], fn.upper[sub.indices]
+    rows = np.random.default_rng(0).uniform(lower, upper, (5, sub.s))
     values = run.evaluate_rows(sub, rows)
     assert values.tolist() == [fn(embed(run.context.x, sub, r)) for r in rows[:3]]
     assert run.budget.exhausted
@@ -101,13 +102,26 @@ def test_optimizers_take_only_a_seed_that_is_an_integer_ge_0(optimizer):
 
 
 @pytest.mark.parametrize("optimizer", [ShadeCC, SurrogateCC])
-def test_optimizers_reject_a_decomposition_of_another_box(optimizer):
-    # unchecked, f02's decomposition ran on f01: each sub-problem searched
-    # f02's +-5 box inside f01's +-100 box
+def test_a_decomposition_built_for_another_box_searches_the_functions_box(optimizer):
+    # a sub-problem is its indices, so f02's decomposition (+-5 box) run on
+    # f01 (+-100 box) searches f01's box, with every evaluation accounted for
     fn, params = get_function("f01", 20, 1), RunParams(max_fe=2000, p=20, visit_len=3)
-    with pytest.raises(ValueError, match="sub-problem 0's bounds differ from the function's box"):
-        optimizer(fn, ideal_decompose(get_function("f02", 20, 1), 5), params, seed=1)
-    optimizer(fn, ideal_decompose(get_function("f01", 20, 2), 5), params, seed=1)
+    decomp = ideal_decompose(get_function("f02", 20, 1), 5)
+    run = optimizer(fn, decomp, params, seed=1)
+    record = run.run()
+    charged = run.min_budget(decomp, params) + record.loop_real_evals + record.reeval_evals
+    assert run.budget.used == record.rows[-1].fe_used == charged == params.max_fe
+    for st in run.subs:
+        assert st.lower.tolist() == fn.lower[st.sub.indices].tolist() == [-100.0] * st.sub.s
+        assert st.upper.tolist() == fn.upper[st.sub.indices].tolist() == [100.0] * st.sub.s
+    kinds = {"population": [st.pop for st in run.subs],
+             "inferior archive": [st.inferior for st in run.subs]}
+    if optimizer is SurrogateCC:
+        kinds["training archive"] = [archive.points for archive in run.archives]
+    for kind, parts in kinds.items():
+        x = np.concatenate(parts)
+        assert np.all((x >= -100.0) & (x <= 100.0)), kind
+        assert np.any(np.abs(x) > 5.0), kind
 
 
 def test_evaluate_rows_leaves_the_context_untouched():
@@ -115,7 +129,8 @@ def test_evaluate_rows_leaves_the_context_untouched():
     x, terms = run.context.x.copy(), run.context.terms.copy()
     rng = np.random.default_rng(0)
     for sub in run.decomposition.subproblems:
-        run.evaluate_rows(sub, rng.uniform(sub.lower, sub.upper, (3, sub.s)))
+        lower, upper = run.fn.lower[sub.indices], run.fn.upper[sub.indices]
+        run.evaluate_rows(sub, rng.uniform(lower, upper, (3, sub.s)))
         assert run.context.x.tolist() == x.tolist()
         assert run.context.terms.tolist() == terms.tolist()
 
@@ -143,7 +158,8 @@ def test_evaluate_rows_makes_one_evaluate_call_with_known_terms_per_row(b, max_f
 
     monkeypatch.setattr(BenchmarkFunction, "evaluate", counted)
     sub = run.decomposition.subproblems[2]
-    rows = np.random.default_rng(b).uniform(sub.lower, sub.upper, (b, sub.s))
+    lower, upper = run.fn.lower[sub.indices], run.fn.upper[sub.indices]
+    rows = np.random.default_rng(b).uniform(lower, upper, (b, sub.s))
     values = run.evaluate_rows(sub, rows)
     charged = min(b, max_fe - 1)
     assert values.size == charged

@@ -290,9 +290,10 @@ def sub_state(pop, inferior, rng, memory=None, lo=None, hi=None):
     s = pop.shape[1]
     lo = np.full(s, -5.0) if lo is None else lo
     hi = np.full(s, 5.0) if hi is None else hi
-    sub = SubProblem(0, np.arange(s), lo, hi)
     memory = ParameterMemory(4) if memory is None else memory
-    return SubState(sub, pop, np.full(len(pop), -np.inf), memory, inferior, rng)
+    return SubState(
+        SubProblem(0, np.arange(s)), lo, hi, pop, np.full(len(pop), -np.inf), memory, inferior, rng
+    )
 
 
 def test_substate_trials_follow_operator_draw_order():

@@ -49,7 +49,7 @@ def test_improvement_sign_means_strictly_better():
     x = rng.uniform(fn.lower, fn.upper)
     set_context(opt, x, 100)
     sub = decomp.subproblems[0]
-    rows = rng.uniform(sub.lower, sub.upper, (20, sub.s))
+    rows = rng.uniform(fn.lower[sub.indices], fn.upper[sub.indices], (20, sub.s))
     improvement = opt.context.f - opt.evaluate_rows(sub, rows)
     better = [fn(embed(x, sub, x_g)) < opt.context.f for x_g in rows]
     assert (improvement > 0).tolist() == better
@@ -63,8 +63,9 @@ def test_improvement_independent_of_other_components():
     fn, decomp, opt = make_opt(base="rastrigin")
     sub = decomp.subproblems[0]
     rng = np.random.default_rng(2)
-    x_g = rng.uniform(sub.lower, sub.upper)
-    own = rng.uniform(sub.lower, sub.upper)
+    lower, upper = fn.lower[sub.indices], fn.upper[sub.indices]
+    x_g = rng.uniform(lower, upper)
+    own = rng.uniform(lower, upper)
 
     values = []
     for _ in range(5):
@@ -83,7 +84,7 @@ def test_improvement_budget_exhaustion():
     x = rng.uniform(fn.lower, fn.upper)
     set_context(opt, x, 3)
     sub = decomp.subproblems[0]
-    rows = rng.uniform(sub.lower, sub.upper, (5, sub.s))
+    rows = rng.uniform(fn.lower[sub.indices], fn.upper[sub.indices], (5, sub.s))
     values = opt.evaluate_rows(sub, rows)
     assert values.tolist() == [fn(embed(x, sub, x_g)) for x_g in rows[:3]]
     assert opt.budget.used == opt.budget.max_fe == 3
@@ -165,7 +166,7 @@ def test_step_consumes_exactly_q_evaluations():
     report = opt.step()
     assert opt.budget.used - used == 4
     assert report.real_evals == 4
-    assert report.trials == 20
+    assert opt.params.p * opt.record.rows[-1].generation == 20  # trials made
     assert not report.truncated and not report.fallback
 
 
