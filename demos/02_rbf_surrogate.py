@@ -11,7 +11,7 @@ from coopevo import TrainingArchive, embed, ideal_decompose, make_separable, tra
 
 fn = make_separable("rastrigin", 20, seed=7)
 decomp = ideal_decompose(fn, 5)
-sub = decomp.subproblems[0]
+idx = decomp.subproblems[0]  # the indices of the first sub-problem
 
 # pretend this random solution is the current context vector
 rng = np.random.default_rng(1)
@@ -20,17 +20,17 @@ f_context = fn(context)
 
 
 def improvement(x_g):
-    return f_context - fn(embed(context, sub, x_g))
+    return f_context - fn(embed(context, idx, x_g))
 
 
 # an archive holds the newest d = 5*s real-evaluated samples
-d = 5 * sub.s
-archive = TrainingArchive(d, fn.lower[sub.indices], fn.upper[sub.indices])
-samples = rng.uniform(fn.lower[sub.indices], fn.upper[sub.indices], (d, sub.s))
+d = 5 * idx.size
+archive = TrainingArchive(d, fn.lower[idx], fn.upper[idx])
+samples = rng.uniform(fn.lower[idx], fn.upper[idx], (d, idx.size))
 archive.push(samples, np.array([improvement(x) for x in samples]))
 
 model = train_surrogate(archive)
-print(f"trained on {d} samples of a {sub.s}-d sub-problem "
+print(f"trained on {d} samples of a {idx.size}-d sub-problem "
       f"(regularized: {model.regularized})")
 
 # interpolation: the model reproduces its training labels
@@ -38,7 +38,7 @@ resid = np.max(np.abs(model.predict_batch(samples) - archive.values))
 print(f"max residual at the training samples: {resid:.2e}")
 
 # off-sample quality: rank correlation is what the optimizer actually needs
-probes = rng.uniform(fn.lower[sub.indices], fn.upper[sub.indices], (200, sub.s))
+probes = rng.uniform(fn.lower[idx], fn.upper[idx], (200, idx.size))
 truth = np.array([improvement(x) for x in probes])
 pred = model.predict_batch(probes)
 rank_truth = np.argsort(np.argsort(truth))

@@ -21,7 +21,7 @@ from .benchmarks import (
     make_suite,
     suite_manifest,
 )
-from .decomposition import Decomposition, SubProblem, embed, ideal_decompose
+from .decomposition import Decomposition, embed, ideal_decompose
 from .harness import (
     ExperimentConfig,
     SummaryRow,
@@ -66,7 +66,6 @@ __all__ = [
     "RunParams",
     "RunRecord",
     "ShadeCC",
-    "SubProblem",
     "SummaryRow",
     "SurrogateCC",
     "TrainingArchive",

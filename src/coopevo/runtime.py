@@ -1,7 +1,10 @@
 """Shared run-time pieces: evaluation budget, context vector, run records
 and the cooperative run loop both optimizers are built on. Each
 sub-problem's SHADE search state is ``shade.SubState``; the run seeds one
-per sub-problem.
+per sub-problem. A run addresses a sub-problem by its position ``g`` in
+``decomposition.subproblems``, the array of its variable indices, and keeps
+every per-sub-problem table (``sub_rngs``, ``touched``, the optimizers'
+``subs``) in that order.
 
 The context carries its own group terms (``ContextState.terms``), and the
 run keeps, per sub-problem, the positions of the groups its variables fall
@@ -24,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .benchmarks import BenchmarkFunction, check_integer, float_array
-from .decomposition import Decomposition, SubProblem, embed
+from .decomposition import Decomposition, embed
 from .shade import ParameterMemory, SubState
 
 
@@ -170,7 +173,7 @@ class CooperativeRun:
         self.context = ContextState(x0, fn(x0), fn.terms(x0))
         # book-keeping for the objective, not seen by the optimizers: per
         # sub-problem, the positions of the groups its rows change
-        self.touched = [fn.groups_of(sub.indices) for sub in decomposition.subproblems]
+        self.touched = [fn.groups_of(indices) for indices in decomposition.subproblems]
 
         self.cursor = 0
         self.generation = 0
@@ -186,12 +189,12 @@ class CooperativeRun:
         """Seed sub-problem ``g`` from ``sub_rngs[g]``, in the function's box
         at its indices: a ``p``-row inferior archive, then ``n`` uniform
         population rows, all scored ``-inf``."""
-        sub, rng = self.decomposition.subproblems[g], self.sub_rngs[g]
-        lower, upper = self.fn.lower[sub.indices], self.fn.upper[sub.indices]
-        inferior = rng.uniform(lower, upper, (self.params.p, sub.s))
-        pop = rng.uniform(lower, upper, (n, sub.s))
+        indices, rng = self.decomposition.subproblems[g], self.sub_rngs[g]
+        lower, upper = self.fn.lower[indices], self.fn.upper[indices]
+        inferior = rng.uniform(lower, upper, (self.params.p, indices.size))
+        pop = rng.uniform(lower, upper, (n, indices.size))
         memory = ParameterMemory(self.params.memory_size)
-        return SubState(sub, lower, upper, pop, np.full(n, -np.inf), memory, inferior, rng)
+        return SubState(lower, upper, pop, np.full(n, -np.inf), memory, inferior, rng)
 
     def add_row(self, sub_id: int, f_best: float):
         """Trace the current generation, budget use and best value."""
@@ -203,21 +206,23 @@ class CooperativeRun:
         self.record.loop_real_evals += real_evals
         self.add_row(sub_id, f_best)
 
-    def evaluate_rows(self, sub: SubProblem, rows: np.ndarray) -> np.ndarray:
+    def evaluate_rows(self, g: int, rows: np.ndarray) -> np.ndarray:
         """Real fitness of each row of ``rows`` embedded into the context, in
         row order, one budgeted evaluation each. Stops at the first row the
         budget cannot pay for, so the result may be a shorter prefix.
 
         This is the one place that charges the objective after ``x0``: both
-        optimizers score every sub-solution through it. ``rows`` must be 2-D
-        with ``sub.s`` columns. Each row is written into one working copy of
-        the context and scored by one ``fn.evaluate`` call that recomputes
-        only the groups ``sub`` touches, which is bit-identical to
-        ``fn(embed(context.x, sub, row))``. The copy and the ``KnownTerms``
-        those calls share are made once per batch."""
-        rows = float_array("rows", rows, (None, sub.s))
-        known = self.fn.known(self.context.terms, self.touched[sub.sid])
-        x, idx = self.context.x.copy(), sub.indices
+        optimizers score every sub-solution through it. ``rows`` must be 2-D,
+        one column per variable of sub-problem ``g``. Each row is written
+        into one working copy of the context and scored by one
+        ``fn.evaluate`` call that recomputes only the groups ``g`` touches,
+        which is bit-identical to ``fn(embed(context.x, idx, row))`` with
+        ``idx = decomposition.subproblems[g]``. The copy and the
+        ``KnownTerms`` those calls share are made once per batch."""
+        idx = self.decomposition.subproblems[g]
+        rows = float_array("rows", rows, (None, idx.size))
+        known = self.fn.known(self.context.terms, self.touched[g])
+        x = self.context.x.copy()
         f = []
         for row in rows[: self.budget.max_fe - self.budget.used]:
             x[idx] = row
@@ -225,17 +230,18 @@ class CooperativeRun:
             f.append(self.fn.evaluate(x, known=known))
         return np.array(f, dtype=float)
 
-    def adopt(self, sub: SubProblem, x_g: np.ndarray, f: float):
-        """Replace the context by ``x_g`` embedded into it, with fitness
-        ``f`` and the terms of the groups ``sub`` touches recomputed.
+    def adopt(self, g: int, x_g: np.ndarray, f: float):
+        """Replace the context by ``x_g`` embedded at sub-problem ``g``'s
+        indices, with fitness ``f`` and the terms of the groups ``g``
+        touches recomputed.
 
         The sum of the new terms is ``fn(x)`` bit for bit, so the record's
         ``max_context_gap`` keeps the largest relative gap between it and
         ``f`` without another objective call. It stays at rounding level
         unless ``f`` is book-kept from gains that interacting sub-problems
         made stale."""
-        x = embed(self.context.x, sub, x_g)
-        known = self.fn.known(self.context.terms, self.touched[sub.sid])
+        x = embed(self.context.x, self.decomposition.subproblems[g], x_g)
+        known = self.fn.known(self.context.terms, self.touched[g])
         self.context = ContextState(x, f, self.fn.terms(x, known))
         self.record.context_updates += 1
         total = sum(self.context.terms.tolist())

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import check_integer
-from .decomposition import SubProblem
 
 PBEST_MAX_FRAC = 0.2
 
@@ -208,15 +207,15 @@ def worst_replacement(
 class SubState:
     """SHADE search state of one sub-problem, the same in both optimizers.
 
-    ``lower`` and ``upper`` are the function's bounds at ``sub.indices``;
-    trials are kept inside them. ``pop_vals`` scores the members, larger is
-    better: improvements over the context in ``sacc``, negated fitness in
-    ``shade-cc``. ``inferior`` is the fixed-size pool of beaten parents that
-    donates difference vectors; it is seeded full with random sub-solutions,
-    so donors never run out.
+    It sees the sub-problem only as a box: ``lower`` and ``upper`` are the
+    function's bounds at the sub-problem's indices, and trials are kept
+    inside them; which variables those are is the run's business.
+    ``pop_vals`` scores the members, larger is better: improvements over the
+    context in ``sacc``, negated fitness in ``shade-cc``. ``inferior`` is the
+    fixed-size pool of beaten parents that donates difference vectors; it is
+    seeded full with random sub-solutions, so donors never run out.
     """
 
-    sub: SubProblem
     lower: np.ndarray          # (s,) box of the sub-problem's variables
     upper: np.ndarray
     pop: np.ndarray            # (p, s) sub-solutions

@@ -51,10 +51,9 @@ class ShadeCC(CooperativeRun):
 
     def _visit(self, g: int):
         st = self.subs[g]
-        sub = st.sub
 
         # stored values were taken under an older context; refresh them
-        refreshed = self.evaluate_rows(sub, st.pop)
+        refreshed = self.evaluate_rows(g, st.pop)
         st.pop_vals[:] = -np.inf
         st.pop_vals[: refreshed.size] = -refreshed
         self.record.reeval_evals += refreshed.size
@@ -64,7 +63,7 @@ class ShadeCC(CooperativeRun):
             if self.budget.exhausted:
                 break
             trials, f_used, cr_used = st.trials()
-            v = -self.evaluate_rows(sub, trials)
+            v = -self.evaluate_rows(g, trials)
             parents = st.pop_vals[: v.size]
 
             # one-to-one greedy selection; ties replace the parent but are
@@ -81,7 +80,7 @@ class ShadeCC(CooperativeRun):
         # harvest: embed the best member if it beats the context
         b = int(np.argmax(st.pop_vals))
         if -st.pop_vals[b] < self.context.f:
-            self.adopt(sub, st.pop[b], -float(st.pop_vals[b]))
+            self.adopt(g, st.pop[b], -float(st.pop_vals[b]))
         if self.generation == generation:
             # the refresh used up the budget: trace where the run ends
             self.add_row(g, self.context.f)

@@ -51,9 +51,7 @@ class GenReport:
 
 def initialization_cost(decomposition: Decomposition, params: RunParams) -> int:
     """Real evaluations consumed before the first generation."""
-    return 1 + sum(
-        max(params.d_factor * sub.s, params.p) for sub in decomposition.subproblems
-    )
+    return 1 + sum(max(params.d_factor * idx.size, params.p) for idx in decomposition.subproblems)
 
 
 class SurrogateCC(CooperativeRun):
@@ -73,10 +71,10 @@ class SurrogateCC(CooperativeRun):
 
         self.subs = []
         self.archives: list[TrainingArchive] = []
-        for g, sub in enumerate(decomposition.subproblems):
-            d = params.d_factor * sub.s
+        for g, indices in enumerate(decomposition.subproblems):
+            d = params.d_factor * indices.size
             st = self.new_sub(g, max(d, params.p))
-            vals = self.context.f - self.evaluate_rows(sub, st.pop)
+            vals = self.context.f - self.evaluate_rows(g, st.pop)
             archive = TrainingArchive(d, st.lower, st.upper)
             archive.push(st.pop[-d:], vals[-d:])
             best = select_best(vals, params.p)
@@ -97,7 +95,6 @@ class SurrogateCC(CooperativeRun):
 
         g = self.cursor
         st, archive = self.subs[g], self.archives[g]
-        sub = st.sub
         p, q = self.params.p, self.params.q
 
         fallback = False
@@ -124,7 +121,7 @@ class SurrogateCC(CooperativeRun):
             parent_scores,
             model_scores,
             q,
-            lambda idx: self.context.f - self.evaluate_rows(sub, trials[idx]),
+            lambda idx: self.context.f - self.evaluate_rows(g, trials[idx]),
         )
         st.adapt(
             successes, f_used, cr_used, trial_scores[successes] - parent_scores[successes]
@@ -139,7 +136,7 @@ class SurrogateCC(CooperativeRun):
         best = int(np.argmax(st.pop_vals))
         gain = float(st.pop_vals[best])
         if gain > 0.0:
-            self.adopt(sub, st.pop[best], self.context.f - gain)
+            self.adopt(g, st.pop[best], self.context.f - gain)
             archive.rebase(gain)
             st.pop_vals -= gain
             context_updated = True

@@ -66,9 +66,9 @@ class Audit:
             )
         if opt.decomposition.k > 1:
             h = (g + 1) % opt.decomposition.k
-            other = opt.subs[h]
+            other, idx = opt.subs[h], opt.decomposition.subproblems[h]
             stored = float(other.pop_vals[0])
-            fresh_imp = opt.context.f - opt.fn(embed(opt.context.x, other.sub, other.pop[0]))
+            fresh_imp = opt.context.f - opt.fn(embed(opt.context.x, idx, other.pop[0]))
             err = abs(fresh_imp - stored) / max(1.0, abs(stored))
             self.max_crosscheck_err = max(self.max_crosscheck_err, err)
             if err > AUDIT_RTOL:

@@ -79,7 +79,7 @@ def test_criterion_2_success_set_matches_greedy_oracle():
     for trial_seed in range(1, 51):
         fn = make_separable("sphere", 5, seed=trial_seed)
         decomp = ideal_decompose(fn, 5)
-        sub = decomp.subproblems[0]
+        idx = decomp.subproblems[0]
         params = RunParams(max_fe=60, p=20, q=20, d_factor=5)
         opt = SurrogateCC(fn, decomp, params, seed=trial_seed)
 
@@ -90,7 +90,7 @@ def test_criterion_2_success_set_matches_greedy_oracle():
         def true_improvement(batch):
             captured.append(np.array(batch, copy=True))
             return np.array(
-                [opt.context.f - fn(embed(opt.context.x, sub, row)) for row in batch]
+                [opt.context.f - fn(embed(opt.context.x, idx, row)) for row in batch]
             )
 
         report = opt.step(predictor=true_improvement)
@@ -98,8 +98,8 @@ def test_criterion_2_success_set_matches_greedy_oracle():
         oracle = [
             i
             for i in range(20)
-            if (f_pre - fn(embed(x_pre, sub, trials[i])))
-            > (f_pre - fn(embed(x_pre, sub, parents[i])))
+            if (f_pre - fn(embed(x_pre, idx, trials[i])))
+            > (f_pre - fn(embed(x_pre, idx, parents[i])))
         ]
         if report.success_idx.tolist() != oracle:
             mismatches += 1
@@ -127,12 +127,12 @@ def test_criterion_3_fe_conservation():
         decomp = ideal_decompose(fn, s_sep)
         probe = RunParams(max_fe=10**9, p=p, q=q, d_factor=5)
         init = initialization_cost(decomp, probe)
-        assert init == 1 + sum(max(5 * sub.s, p) for sub in decomp.subproblems)
+        assert init == 1 + sum(max(5 * idx.size, p) for idx in decomp.subproblems)
         generations = int(rng.integers(0, 15))
         params = RunParams(max_fe=init + q * generations, p=p, q=q, d_factor=5)
         opt = SurrogateCC(fn, decomp, params, seed=int(rng.integers(1000)))
         record = opt.run()
-        expected = 1 + sum(max(5 * sub.s, p) for sub in decomp.subproblems) + q * generations
+        expected = 1 + sum(max(5 * idx.size, p) for idx in decomp.subproblems) + q * generations
         assert opt.budget.used == expected == params.max_fe
         assert len(record.rows) - 1 == generations
         assert record.fallback_generations == 0
@@ -160,11 +160,11 @@ def test_criterion_4_rebase_consistency_audited_run():
     # every sub-problem, population and training archive alike, must still
     # match a fresh evaluation
     sweep_err = 0.0
-    for st, archive in zip(opt.subs, opt.archives):
+    for st, archive, idx in zip(opt.subs, opt.archives, decomp.subproblems):
         stored = [(st.pop[j], st.pop_vals[j]) for j in range(0, params.p, 25)]
         stored += [(archive.points[j], archive.values[j]) for j in range(0, len(archive), 25)]
         for x_g, value in stored:
-            fresh = opt.context.f - fn(embed(opt.context.x, st.sub, x_g))
+            fresh = opt.context.f - fn(embed(opt.context.x, idx, x_g))
             sweep_err = max(sweep_err, abs(fresh - value) / max(1.0, abs(fresh)))
 
     ok = (

@@ -3,8 +3,9 @@
 wraps still exists, no path loads ``scipy.spatial`` (``sacc`` loads only
 scipy's compiled distance kernels),
 ``benchmarks.check_integer`` is the package's one integer test,
-``benchmarks.float_array`` its one array-shape check, and ``runtime`` the
-only module outside ``benchmarks`` that calls the objective.
+``benchmarks.float_array`` its one array-shape check, ``runtime`` the
+only module outside ``benchmarks`` that calls the objective, and ``shade``
+free of every package module but ``benchmarks``.
 
 A standard-library stand-in for a linter's unused-import rule. Names listed
 in a module's ``__all__`` count as used (re-exports), and ``from __future__``
@@ -72,6 +73,28 @@ def test_no_unused_imports(folder):
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+def package_imports(path: Path) -> set[str]:
+    """The coopevo modules that the module at ``path`` imports from."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                found.add(node.module or "")
+            elif (node.module or "").split(".")[0] == "coopevo":
+                found.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.partition(".")[2] for a in node.names
+                      if a.name.split(".")[0] == "coopevo"}
+    return found
+
+
+def test_shade_imports_no_package_module_but_benchmarks():
+    # SHADE sees a sub-problem only as its box; which variables it owns,
+    # the decomposition and the run are the callers' business
+    assert package_imports(ROOT / "src/coopevo/runtime.py") >= {"decomposition", "shade"}
+    assert package_imports(ROOT / "src/coopevo/shade.py") == {"benchmarks"}
 
 
 def test_package_all_lists_exactly_its_public_names():

@@ -12,22 +12,23 @@ from coopevo.surrogate_cc import SurrogateCC
 BATCH_SIZES = (1, 2, 100)
 
 
-def check_rows(run, sub, rng):
-    """Score fresh rows of every batch size through ``evaluate_rows`` and
-    compare each value bit for bit with an evaluation of the embedded point:
-    a full one for the first row of each batch, and for the others one from
+def check_rows(run, g, rng):
+    """Score fresh rows of every batch size of sub-problem ``g`` through
+    ``evaluate_rows`` and compare each value bit for bit with an evaluation
+    of the embedded point: a full one for the first row of each batch, and
+    for the others one from
     the context's terms as the full path computes them (not the run's kept
     terms), which ``test_benchmarks`` checks against the per-group formula.
     Returns the last batch and its values."""
-    fn, x = run.fn, run.context.x
-    known = fn.known(fn.terms(x), fn.groups_of(sub.indices))
+    fn, x, idx = run.fn, run.context.x, run.decomposition.subproblems[g]
+    known = fn.known(fn.terms(x), fn.groups_of(idx))
     for b in BATCH_SIZES:
-        rows = rng.uniform(fn.lower[sub.indices], fn.upper[sub.indices], (b, sub.s))
+        rows = rng.uniform(fn.lower[idx], fn.upper[idx], (b, idx.size))
         used = run.budget.used
-        got = run.evaluate_rows(sub, rows)
-        want = [fn(embed(x, sub, rows[0]))]
-        want += [fn.evaluate(embed(x, sub, r), known=known) for r in rows[1:]]
-        assert got.tolist() == want, (fn.fid, sub.sid, b)
+        got = run.evaluate_rows(g, rows)
+        want = [fn(embed(x, idx, rows[0]))]
+        want += [fn.evaluate(embed(x, idx, r), known=known) for r in rows[1:]]
+        assert got.tolist() == want, (fn.fid, g, b)
         assert run.budget.used == used + b
     return rows, got
 
@@ -43,10 +44,10 @@ def test_evaluate_rows_is_bit_equal_to_full_evaluation(fid, dim):
     # first pass: each sub-problem after the adopts of the ones before it;
     # second pass: every sub-problem after every adopt
     for _ in range(2):
-        for sub in decomp.subproblems:
-            rows, values = check_rows(run, sub, rng)
+        for g in range(decomp.k):
+            rows, values = check_rows(run, g, rng)
             best = int(np.argmin(values))
-            run.adopt(sub, rows[best], float(values[best]))
+            run.adopt(g, rows[best], float(values[best]))
             assert run.context.f == fn(run.context.x)
             assert run.context.terms.tolist() == fn.terms(run.context.x).tolist()
 
@@ -55,9 +56,9 @@ def test_rotated_sub_problems_touch_only_their_own_group():
     fn = get_function("f09", 40, 1)  # a separable block and ten rotated groups
     decomp = ideal_decompose(fn, 7)
     run = CooperativeRun(fn, decomp, RunParams(max_fe=10), seed=1)
-    for sub, touched in zip(decomp.subproblems, run.touched):
+    for idx, touched in zip(decomp.subproblems, run.touched):
         (pos,) = touched
-        assert set(sub.indices.tolist()) <= set(fn.groups[pos].indices)
+        assert set(idx.tolist()) <= set(fn.groups[pos].indices)
     # every sub-problem of a one-group function touches that group
     fn = get_function("f01", 40, 1)
     decomp = ideal_decompose(fn, 7)
@@ -69,13 +70,13 @@ def test_evaluate_rows_stops_at_the_budget():
     fn = get_function("f14", 40, 1)
     decomp = ideal_decompose(fn, 2)
     run = CooperativeRun(fn, decomp, RunParams(max_fe=4), seed=1)
-    sub = decomp.subproblems[3]
-    lower, upper = fn.lower[sub.indices], fn.upper[sub.indices]
-    rows = np.random.default_rng(0).uniform(lower, upper, (5, sub.s))
-    values = run.evaluate_rows(sub, rows)
-    assert values.tolist() == [fn(embed(run.context.x, sub, r)) for r in rows[:3]]
+    idx = decomp.subproblems[3]
+    lower, upper = fn.lower[idx], fn.upper[idx]
+    rows = np.random.default_rng(0).uniform(lower, upper, (5, idx.size))
+    values = run.evaluate_rows(3, rows)
+    assert values.tolist() == [fn(embed(run.context.x, idx, r)) for r in rows[:3]]
     assert run.budget.exhausted
-    assert run.evaluate_rows(sub, rows).size == 0
+    assert run.evaluate_rows(3, rows).size == 0
 
 
 def small_run(max_fe=10**6):
@@ -111,9 +112,9 @@ def test_a_decomposition_built_for_another_box_searches_the_functions_box(optimi
     record = run.run()
     charged = run.min_budget(decomp, params) + record.loop_real_evals + record.reeval_evals
     assert run.budget.used == record.rows[-1].fe_used == charged == params.max_fe
-    for st in run.subs:
-        assert st.lower.tolist() == fn.lower[st.sub.indices].tolist() == [-100.0] * st.sub.s
-        assert st.upper.tolist() == fn.upper[st.sub.indices].tolist() == [100.0] * st.sub.s
+    for st, idx in zip(run.subs, decomp.subproblems, strict=True):
+        assert st.lower.tolist() == fn.lower[idx].tolist() == [-100.0] * idx.size
+        assert st.upper.tolist() == fn.upper[idx].tolist() == [100.0] * idx.size
     kinds = {"population": [st.pop for st in run.subs],
              "inferior archive": [st.inferior for st in run.subs]}
     if optimizer is SurrogateCC:
@@ -128,9 +129,9 @@ def test_evaluate_rows_leaves_the_context_untouched():
     run = small_run()
     x, terms = run.context.x.copy(), run.context.terms.copy()
     rng = np.random.default_rng(0)
-    for sub in run.decomposition.subproblems:
-        lower, upper = run.fn.lower[sub.indices], run.fn.upper[sub.indices]
-        run.evaluate_rows(sub, rng.uniform(lower, upper, (3, sub.s)))
+    for g, idx in enumerate(run.decomposition.subproblems):
+        lower, upper = run.fn.lower[idx], run.fn.upper[idx]
+        run.evaluate_rows(g, rng.uniform(lower, upper, (3, idx.size)))
         assert run.context.x.tolist() == x.tolist()
         assert run.context.terms.tolist() == terms.tolist()
 
@@ -138,10 +139,9 @@ def test_evaluate_rows_leaves_the_context_untouched():
 @pytest.mark.parametrize("shape", [(7,), (2, 6), (2, 8), (0,), (1, 1, 7)])
 def test_evaluate_rows_rejects_rows_of_the_wrong_shape(shape):
     run = small_run()
-    sub = run.decomposition.subproblems[0]
-    assert sub.s == 7
+    assert run.decomposition.subproblems[0].size == 7
     with pytest.raises(ValueError, match=re.escape(f"rows must have shape (any, 7), got {shape}")):
-        run.evaluate_rows(sub, np.zeros(shape))
+        run.evaluate_rows(0, np.zeros(shape))
     assert run.budget.used == 1
 
 
@@ -157,10 +157,10 @@ def test_evaluate_rows_makes_one_evaluate_call_with_known_terms_per_row(b, max_f
         return evaluate(self, x, known=known)
 
     monkeypatch.setattr(BenchmarkFunction, "evaluate", counted)
-    sub = run.decomposition.subproblems[2]
-    lower, upper = run.fn.lower[sub.indices], run.fn.upper[sub.indices]
-    rows = np.random.default_rng(b).uniform(lower, upper, (b, sub.s))
-    values = run.evaluate_rows(sub, rows)
+    idx = run.decomposition.subproblems[2]
+    lower, upper = run.fn.lower[idx], run.fn.upper[idx]
+    rows = np.random.default_rng(b).uniform(lower, upper, (b, idx.size))
+    values = run.evaluate_rows(2, rows)
     charged = min(b, max_fe - 1)
     assert values.size == charged
     assert run.budget.used == 1 + charged

@@ -3,7 +3,6 @@ import re
 import numpy as np
 import pytest
 
-from coopevo.decomposition import SubProblem
 from coopevo.shade import (
     ParameterMemory,
     SubState,
@@ -291,9 +290,7 @@ def sub_state(pop, inferior, rng, memory=None, lo=None, hi=None):
     lo = np.full(s, -5.0) if lo is None else lo
     hi = np.full(s, 5.0) if hi is None else hi
     memory = ParameterMemory(4) if memory is None else memory
-    return SubState(
-        SubProblem(0, np.arange(s)), lo, hi, pop, np.full(len(pop), -np.inf), memory, inferior, rng
-    )
+    return SubState(lo, hi, pop, np.full(len(pop), -np.inf), memory, inferior, rng)
 
 
 def test_substate_trials_follow_operator_draw_order():

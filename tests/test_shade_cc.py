@@ -203,8 +203,8 @@ def test_every_charge_after_x0_goes_through_evaluate_rows(case, monkeypatch):
     rows = []
     evaluate_rows = CooperativeRun.evaluate_rows
 
-    def counted(self, sub, batch):
-        values = evaluate_rows(self, sub, batch)
+    def counted(self, g, batch):
+        values = evaluate_rows(self, g, batch)
         rows.append(values.size)
         return values
 

@@ -37,8 +37,8 @@ def test_improvement_of_own_component_is_zero():
     fn, decomp, opt = make_opt()
     x = np.random.default_rng(0).uniform(fn.lower, fn.upper)
     set_context(opt, x, 10)
-    sub = decomp.subproblems[1]
-    improvement = opt.context.f - opt.evaluate_rows(sub, x[sub.indices][None, :])
+    idx = decomp.subproblems[1]
+    improvement = opt.context.f - opt.evaluate_rows(1, x[idx][None, :])
     assert improvement.tolist() == [0.0]
     assert opt.budget.used == 1
 
@@ -48,10 +48,10 @@ def test_improvement_sign_means_strictly_better():
     rng = np.random.default_rng(1)
     x = rng.uniform(fn.lower, fn.upper)
     set_context(opt, x, 100)
-    sub = decomp.subproblems[0]
-    rows = rng.uniform(fn.lower[sub.indices], fn.upper[sub.indices], (20, sub.s))
-    improvement = opt.context.f - opt.evaluate_rows(sub, rows)
-    better = [fn(embed(x, sub, x_g)) < opt.context.f for x_g in rows]
+    idx = decomp.subproblems[0]
+    rows = rng.uniform(fn.lower[idx], fn.upper[idx], (20, idx.size))
+    improvement = opt.context.f - opt.evaluate_rows(0, rows)
+    better = [fn(embed(x, idx, x_g)) < opt.context.f for x_g in rows]
     assert (improvement > 0).tolist() == better
     assert opt.budget.used == 20
 
@@ -61,18 +61,18 @@ def test_improvement_independent_of_other_components():
     # whatever the rest of the context looks like, as long as the context's
     # own block is fixed
     fn, decomp, opt = make_opt(base="rastrigin")
-    sub = decomp.subproblems[0]
+    idx = decomp.subproblems[0]
     rng = np.random.default_rng(2)
-    lower, upper = fn.lower[sub.indices], fn.upper[sub.indices]
+    lower, upper = fn.lower[idx], fn.upper[idx]
     x_g = rng.uniform(lower, upper)
     own = rng.uniform(lower, upper)
 
     values = []
     for _ in range(5):
         ctx_x = rng.uniform(fn.lower, fn.upper)
-        ctx_x[sub.indices] = own
+        ctx_x[idx] = own
         set_context(opt, ctx_x, 5)
-        values.append(float(opt.context.f - opt.evaluate_rows(sub, x_g[None, :])[0]))
+        values.append(float(opt.context.f - opt.evaluate_rows(0, x_g[None, :])[0]))
     assert np.all(np.abs(np.diff(values)) <= 1e-9 * max(1.0, abs(values[0])))
 
 
@@ -83,12 +83,12 @@ def test_improvement_budget_exhaustion():
     rng = np.random.default_rng(3)
     x = rng.uniform(fn.lower, fn.upper)
     set_context(opt, x, 3)
-    sub = decomp.subproblems[0]
-    rows = rng.uniform(fn.lower[sub.indices], fn.upper[sub.indices], (5, sub.s))
-    values = opt.evaluate_rows(sub, rows)
-    assert values.tolist() == [fn(embed(x, sub, x_g)) for x_g in rows[:3]]
+    idx = decomp.subproblems[0]
+    rows = rng.uniform(fn.lower[idx], fn.upper[idx], (5, idx.size))
+    values = opt.evaluate_rows(0, rows)
+    assert values.tolist() == [fn(embed(x, idx, x_g)) for x_g in rows[:3]]
     assert opt.budget.used == opt.budget.max_fe == 3
-    assert opt.evaluate_rows(sub, rows).size == 0
+    assert opt.evaluate_rows(0, rows).size == 0
     assert opt.budget.used == 3
     with pytest.raises(BudgetExhausted):
         opt.budget.spend()
@@ -145,9 +145,9 @@ def test_initial_state_deterministic_per_seed():
 
 def test_population_entries_are_real_evaluated():
     fn, decomp, opt = make_opt()
-    for st in opt.subs:
+    for st, idx in zip(opt.subs, decomp.subproblems, strict=True):
         for x_g, val in zip(st.pop, st.pop_vals):
-            expect = opt.context.f - fn(embed(opt.context.x, st.sub, x_g))
+            expect = opt.context.f - fn(embed(opt.context.x, idx, x_g))
             assert val == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
@@ -253,7 +253,7 @@ def test_audit_catches_a_corrupted_kept_term():
     fn, decomp, opt = rotated_opt()
     # the group of the sub-problem visited last in the round: no adopt before
     # that visit recomputes it
-    (pos,) = fn.groups_of(decomp.subproblems[-1].indices)
+    (pos,) = fn.groups_of(decomp.subproblems[-1])
     opt.context.terms[pos] += 1e-6
     audit = Audit(opt)
     with pytest.raises(AuditFailure, match=rf"kept context terms of groups \[{pos}\]"):
