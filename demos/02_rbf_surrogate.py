@@ -10,8 +10,7 @@ import numpy as np
 from coopevo import TrainingArchive, embed, ideal_decompose, make_separable, train_surrogate
 
 fn = make_separable("rastrigin", 20, seed=7)
-decomp = ideal_decompose(fn, 5)
-idx = decomp.subproblems[0]  # the indices of the first sub-problem
+idx = ideal_decompose(fn, 5)[0]  # the index list of the first sub-problem
 
 # pretend this random solution is the current context vector
 rng = np.random.default_rng(1)
@@ -24,13 +23,13 @@ def improvement(x_g):
 
 
 # an archive holds the newest d = 5*s real-evaluated samples
-d = 5 * idx.size
+d = 5 * len(idx)
 archive = TrainingArchive(d, fn.lower[idx], fn.upper[idx])
-samples = rng.uniform(fn.lower[idx], fn.upper[idx], (d, idx.size))
+samples = rng.uniform(fn.lower[idx], fn.upper[idx], (d, len(idx)))
 archive.push(samples, np.array([improvement(x) for x in samples]))
 
 model = train_surrogate(archive)
-print(f"trained on {d} samples of a {idx.size}-d sub-problem "
+print(f"trained on {d} samples of a {len(idx)}-d sub-problem "
       f"(regularized: {model.regularized})")
 
 # interpolation: the model reproduces its training labels
@@ -38,7 +37,7 @@ resid = np.max(np.abs(model.predict_batch(samples) - archive.values))
 print(f"max residual at the training samples: {resid:.2e}")
 
 # off-sample quality: rank correlation is what the optimizer actually needs
-probes = rng.uniform(fn.lower[idx], fn.upper[idx], (200, idx.size))
+probes = rng.uniform(fn.lower[idx], fn.upper[idx], (200, len(idx)))
 truth = np.array([improvement(x) for x in probes])
 pred = model.predict_batch(probes)
 rank_truth = np.argsort(np.argsort(truth))

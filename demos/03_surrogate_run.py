@@ -9,12 +9,12 @@ from coopevo import RunParams, SurrogateCC, ideal_decompose, make_separable
 
 fn = make_separable("elliptic", 60, seed=3)
 decomp = ideal_decompose(fn, 20)
-print(f"problem: 60-d separable quadratic, split into {decomp.k} blocks of 20")
+print(f"problem: 60-d separable quadratic, split into {len(decomp)} blocks of 20")
 
 params = RunParams(max_fe=10_000, p=100, q=10, d_factor=5)
 opt = SurrogateCC(fn, decomp, params, seed=42)
 print(f"initialization consumed {opt.budget.used} evaluations "
-      f"(1 context + {decomp.k} x max(5*20, 100) samples)")
+      f"(1 context + {len(decomp)} x max(5*20, 100) samples)")
 print(f"starting value: {opt.context.f:.4e}\n")
 
 print(f"{'generation':>10} {'evals used':>10} {'best value':>12}")

@@ -33,10 +33,11 @@ print(f"\nsurrogate-assisted: mean {a.mean:.3e} (std {a.std:.1e})")
 print(f"full evaluation:    mean {b.mean:.3e} (std {b.std:.1e})")
 print(f"effect size d = {d:.2f} ({label})")
 
-# how long would the baseline need to reach the surrogate result?
+# how long would the baseline need to reach the surrogate result? Its own
+# output directory keeps the equal-budget shade-cc results above
 extended = run_experiment(
-    dataclasses.replace(config, algorithm="shade-cc", budget=4 * config.budget),
-    write=False,
+    dataclasses.replace(config, algorithm="shade-cc", budget=4 * config.budget,
+                        out="demo_results/extended"),
 )
 hit = fes_to_match(a.mean, mean_curve(extended.records["f01"]))
 if hit is None:

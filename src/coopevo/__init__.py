@@ -21,7 +21,7 @@ from .benchmarks import (
     make_suite,
     suite_manifest,
 )
-from .decomposition import Decomposition, embed, ideal_decompose
+from .decomposition import embed, ideal_decompose
 from .harness import (
     ExperimentConfig,
     SummaryRow,
@@ -57,7 +57,6 @@ __all__ = [
     "BudgetExhausted",
     "ContextState",
     "CooperativeRun",
-    "Decomposition",
     "ExperimentConfig",
     "FeBudget",
     "Group",

@@ -93,7 +93,7 @@ def _libm_exp(a: np.ndarray) -> np.ndarray | float:
 
 @functools.lru_cache(maxsize=64)
 def _elliptic_coef(s: int) -> np.ndarray:
-    coef = 10.0 ** (6.0 * np.arange(s) / (s - 1))
+    coef = 10.0 ** (6.0 * np.arange(s) / max(s - 1, 1))
     coef.flags.writeable = False
     return coef
 
@@ -107,11 +107,9 @@ def sphere(z: np.ndarray) -> np.ndarray:
 
 
 def elliptic(z: np.ndarray) -> np.ndarray:
-    """Sum of squares with coefficients 10^(6*i/(s-1)), i = 0..s-1."""
-    s = z.shape[-1]
-    if s == 1:
-        return z[..., 0] * z[..., 0]
-    return _dot(z * z, _elliptic_coef(s))
+    """Sum of squares with coefficients 10^(6*i/(s-1)), i = 0..s-1 (1.0
+    for s = 1)."""
+    return _dot(z * z, _elliptic_coef(z.shape[-1]))
 
 
 def rastrigin(z: np.ndarray) -> np.ndarray:
@@ -179,13 +177,18 @@ def check_dim(dim) -> None:
         raise ValueError("dim must be a positive multiple of 20")
 
 
-def check_partition(groups, n: int) -> None:
-    """Check that ``groups`` partition the indices 0..n-1: every group is
-    non-empty and holds integers (``bool`` is not one), no index appears
-    twice in one group or in two groups, and together they cover 0..n-1."""
+def check_partition(groups, n: int) -> tuple[np.ndarray, ...]:
+    """``groups`` as read-only 1-D integer arrays of their own, in order,
+    once checked to partition 0..n-1: every group is a non-empty sequence
+    of integers (``bool`` is not one), no index appears twice in one group
+    or in two groups, and together they cover 0..n-1."""
     seen: set[int] = set()
+    arrays = []
     for grp in groups:
-        grp = grp.tolist() if isinstance(grp, np.ndarray) else grp
+        try:
+            grp = list(grp.tolist() if isinstance(grp, np.ndarray) else grp)
+        except TypeError:
+            raise ValueError(f"group must be a sequence of integers, got {grp!r}") from None
         if not grp:
             raise ValueError("empty group")
         for i in grp:
@@ -197,8 +200,12 @@ def check_partition(groups, n: int) -> None:
         if seen & members:
             raise ValueError("groups are not disjoint")
         seen |= members
+        idx = np.array(grp, dtype=int)
+        idx.flags.writeable = False
+        arrays.append(idx)
     if not seen or seen != set(range(n)):
         raise ValueError("groups do not cover 0..n-1")
+    return tuple(arrays)
 
 
 class _Term(NamedTuple):
@@ -265,7 +272,7 @@ class BenchmarkFunction:
     groups, rotated) coordinates, scaled by a per-group weight. Evaluation
     is pure: the same x always yields the same value. The dimension ``n``
     and the bounds are derived from ``groups``, which must partition
-    0..n-1.
+    0..n-1; ``shift``, ``lower`` and ``upper`` are read-only arrays of its own.
     """
 
     fid: str
@@ -280,14 +287,17 @@ class BenchmarkFunction:
         check_integer("seed", self.seed)
         object.__setattr__(self, "seed", int(self.seed))
         n = sum(len(g.indices) for g in self.groups)
-        check_partition([g.indices for g in self.groups], n)
-        object.__setattr__(self, "shift", float_array("shift", self.shift, (n,)))
+        indices = check_partition([g.indices for g in self.groups], n)
+        shift = float_array("shift", self.shift, (n,)).copy()
         lower, upper = _box(self.groups)
-        if not (np.all(self.shift > lower) and np.all(self.shift < upper)):
+        if not (np.all(shift > lower) and np.all(shift < upper)):
             raise ValueError("shift must lie strictly inside bounds")
+        for a in (shift, lower, upper):
+            a.flags.writeable = False
+        object.__setattr__(self, "shift", shift)
         terms = []
         owner = np.empty(n, dtype=int)
-        for pos, g in enumerate(self.groups):
+        for pos, (g, idx) in enumerate(zip(self.groups, indices)):
             rot = g.rotation
             if rot is not None:
                 m = len(g.indices)
@@ -298,8 +308,7 @@ class BenchmarkFunction:
             weight = float(g.weight)
             if not math.isfinite(weight):
                 raise ValueError(f"group {pos} weight must be finite, got {weight!r}")
-            idx = np.array(g.indices, dtype=int)
-            terms.append(_Term(idx, self.shift[idx], rot, BASES[g.base], weight))
+            terms.append(_Term(idx, shift[idx], rot, BASES[g.base], weight))
             owner[idx] = pos
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lower", lower)

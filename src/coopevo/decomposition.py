@@ -1,8 +1,11 @@
 """Static decomposition of a problem into lower-dimensional sub-problems.
 
-A sub-problem is the 1-D integer array of the variable indices it owns, in
-a fixed order; its bounds are the function's at those indices, and a run
-addresses it by its position in ``Decomposition.subproblems``.
+A decomposition is a sequence of sub-problems, and a sub-problem is the
+sequence of the variable indices it owns, in a fixed order; plain lists
+will do. A run checks once that they partition the function's variables
+and keeps each as a read-only 1-D integer array
+(``runtime.CooperativeRun``); it addresses a sub-problem by its position,
+and takes its bounds from the function at its indices.
 
 ``ideal_decompose`` reads a benchmark function's group table: rotated
 (nonseparable) groups are kept intact, and the variables of the separable
@@ -14,47 +17,15 @@ optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .benchmarks import BenchmarkFunction, check_integer, check_partition, float_array
+from .benchmarks import BenchmarkFunction, check_integer, float_array
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Index arrays that partition the variables 0..n-1, where ``n`` is the
-    sum of their sizes. ``subproblems`` may be any sequence of 1-D integer
-    sequences; each is stored as an array, in the given order."""
-
-    subproblems: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "subproblems", tuple(map(np.asarray, self.subproblems)))
-        for indices in self.subproblems:
-            float_array("indices", indices, (None,))  # the shape check alone
-        check_partition(self.subproblems, self.n)
-
-    @property
-    def n(self) -> int:
-        return sum(indices.size for indices in self.subproblems)
-
-    @property
-    def k(self) -> int:
-        return len(self.subproblems)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "subproblems": [
-                {"id": g, "s": indices.size, "indices": indices.tolist()}
-                for g, indices in enumerate(self.subproblems)
-            ],
-        }
-
-
-def ideal_decompose(fn: BenchmarkFunction, s_sep: int) -> Decomposition:
-    """Decompose ``fn`` by its group table.
+def ideal_decompose(fn: BenchmarkFunction, s_sep: int) -> list[list[int]]:
+    """Decompose ``fn`` by its group table into a list of index lists.
 
     The indices of every separable group (``rotation is None``) are pooled,
     sorted ascending and cut into chunks of ``s_sep`` (the final chunk may
@@ -64,8 +35,20 @@ def ideal_decompose(fn: BenchmarkFunction, s_sep: int) -> Decomposition:
     check_integer("s_sep", s_sep, 1)
     sep = sorted(i for g in fn.groups if g.rotation is None for i in g.indices)
     chunks = [sep[start:start + s_sep] for start in range(0, len(sep), s_sep)]
-    rotated = [g.indices for g in fn.groups if g.rotation is not None]
-    return Decomposition(chunks + rotated)
+    return chunks + [list(g.indices) for g in fn.groups if g.rotation is not None]
+
+
+def to_dict(subproblems: Sequence[Sequence[int]]) -> dict:
+    """The manifest entry of a decomposition: its dimension ``n``, the sum
+    of the sub-problem sizes, and per sub-problem its position as ``id``,
+    its size ``s`` and its ``indices``."""
+    return {
+        "n": sum(len(indices) for indices in subproblems),
+        "subproblems": [
+            {"id": g, "s": len(indices), "indices": [int(i) for i in indices]}
+            for g, indices in enumerate(subproblems)
+        ],
+    }
 
 
 def embed(context: np.ndarray, indices: np.ndarray, x_g: np.ndarray) -> np.ndarray:

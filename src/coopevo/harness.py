@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import FUNCTION_IDS, BenchmarkFunction, check_dim, check_integer, get_function
-from .decomposition import Decomposition, ideal_decompose
+from .decomposition import ideal_decompose, to_dict
 from .runtime import RunParams, RunRecord, write_table
 from .shade_cc import ShadeCC
 from .surrogate_cc import SurrogateCC
@@ -138,7 +138,7 @@ class SummaryRow:
         )
 
 
-def build_problem(config: ExperimentConfig, fid: str) -> tuple[BenchmarkFunction, Decomposition]:
+def build_problem(config: ExperimentConfig, fid: str) -> tuple[BenchmarkFunction, list[list[int]]]:
     fn = get_function(fid, config.dim, config.suite_seed)
     decomp = ideal_decompose(fn, config.s_sep)
     return fn, decomp
@@ -269,14 +269,14 @@ class ExperimentResult:
         return Path(self.config.out) / fid / self.config.algorithm
 
 
-def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute ``config.runs`` independent seeded trials per function.
 
-    Seeds are ``seed .. seed + runs - 1``. With ``write=True`` (default) the
-    traces, summaries, convergence curves and a reconstruction manifest are
-    written under the output directory. Every function's problem is built
-    and its minimum budget checked before the first run, so a bad setting
-    for a later function writes nothing.
+    Seeds are ``seed .. seed + runs - 1``. The traces, summaries,
+    convergence curves and a reconstruction manifest are written under
+    ``ExperimentResult.out_dir``. Every function's problem is built and its
+    minimum budget checked before the first run, so a bad setting for a
+    later function writes nothing.
     """
     result = ExperimentResult(config, {})
     optimizer = OPTIMIZERS[config.algorithm]
@@ -292,25 +292,24 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
         records = [optimizer(fn, decomp, params, seed).run() for seed in seeds]
         result.records[fid] = records
 
-        if write:
-            summary, out = result.summary_for(fid), result.out_dir(fid)
-            for rec in records:
-                rec.write_csv(out / f"run_{rec.seed}.csv")
-            export_convergence(records, out / "convergence.csv")
-            floats = (summary.best, summary.median, summary.worst, summary.mean, summary.std)
-            row = (fid, config.algorithm, config.budget, summary.runs, *map(repr, floats))
-            write_table(out / "summary.csv", SUMMARY_HEADER, [row])
-            manifest = {
-                "config": dataclasses.asdict(config),
-                "function": fn.manifest(),
-                "decomposition": decomp.to_dict(),
-                "seeds": seeds,
-                "code_version": __version__,
-                "cohens_d_formula": COHENS_D_FORMULA,
-                "summary": dataclasses.asdict(summary),
-            }
-            with open(out / "manifest.json", "w") as handle:
-                json.dump(manifest, handle, indent=2, sort_keys=True)
+        summary, out = result.summary_for(fid), result.out_dir(fid)
+        for rec in records:
+            rec.write_csv(out / f"run_{rec.seed}.csv")
+        export_convergence(records, out / "convergence.csv")
+        floats = (summary.best, summary.median, summary.worst, summary.mean, summary.std)
+        row = (fid, config.algorithm, config.budget, summary.runs, *map(repr, floats))
+        write_table(out / "summary.csv", SUMMARY_HEADER, [row])
+        manifest = {
+            "config": dataclasses.asdict(config),
+            "function": fn.manifest(),
+            "decomposition": to_dict(decomp),
+            "seeds": seeds,
+            "code_version": __version__,
+            "cohens_d_formula": COHENS_D_FORMULA,
+            "summary": dataclasses.asdict(summary),
+        }
+        with open(out / "manifest.json", "w") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
 
     return result
 

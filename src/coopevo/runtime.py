@@ -1,10 +1,12 @@
 """Shared run-time pieces: evaluation budget, context vector, run records
 and the cooperative run loop both optimizers are built on. Each
 sub-problem's SHADE search state is ``shade.SubState``; the run seeds one
-per sub-problem. A run addresses a sub-problem by its position ``g`` in
-``decomposition.subproblems``, the array of its variable indices, and keeps
-every per-sub-problem table (``sub_rngs``, ``touched``, the optimizers'
-``subs``) in that order.
+per sub-problem. A run takes its sub-problems as any sequence of index
+sequences, checks once that they partition the function's variables and
+keeps them as ``subproblems``, a tuple of read-only 1-D integer arrays. It
+addresses a sub-problem by its position ``g`` there, and keeps every
+per-sub-problem table (``sub_rngs``, ``touched``, the optimizers' ``subs``)
+in that order.
 
 The context carries its own group terms (``ContextState.terms``), and the
 run keeps, per sub-problem, the positions of the groups its variables fall
@@ -26,8 +28,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .benchmarks import BenchmarkFunction, check_integer, float_array
-from .decomposition import Decomposition, embed
+from .benchmarks import BenchmarkFunction, check_integer, check_partition, float_array
+from .decomposition import embed
 from .shade import ParameterMemory, SubState
 
 
@@ -134,8 +136,9 @@ class RunRecord:
 class CooperativeRun:
     """Scaffolding of one seeded cooperative-coevolution run.
 
-    Owns everything both optimizers share: the seed, dimension and budget
-    checks, the evaluation budget, the seed streams (``rng`` for the run,
+    Owns everything both optimizers share: the seed, partition and budget
+    checks, the sub-problems' index arrays (``subproblems``), the
+    evaluation budget, the seed streams (``rng`` for the run,
     ``sub_rngs[g]`` per sub-problem), the charged random context vector, the
     seeding of each sub-problem's ``SubState`` (``new_sub``), the one charged
     row evaluator ``evaluate_rows``, the round-robin ``cursor``, the
@@ -148,23 +151,21 @@ class CooperativeRun:
     def __init__(
         self,
         fn: BenchmarkFunction,
-        decomposition: Decomposition,
+        subproblems: Sequence[Sequence[int]],
         params: RunParams,
         seed: int,
     ):
         check_integer("seed", seed, 0)
-        if decomposition.n != fn.n:
-            raise ValueError("decomposition does not match function dimension")
-        need = self.min_budget(decomposition, params)
+        self.subproblems = check_partition(subproblems, fn.n)
+        need = self.min_budget(self.subproblems, params)
         if params.max_fe < need:
             raise ValueError(f"budget {params.max_fe} below initialization cost {need}")
         self.fn = fn
-        self.decomposition = decomposition
         self.params = params
         self.seed = int(seed)
         self.budget = FeBudget(params.max_fe)
 
-        streams = np.random.SeedSequence(self.seed).spawn(decomposition.k + 1)
+        streams = np.random.SeedSequence(self.seed).spawn(len(self.subproblems) + 1)
         self.rng = np.random.default_rng(streams[0])
         self.sub_rngs = [np.random.default_rng(s) for s in streams[1:]]
 
@@ -173,14 +174,14 @@ class CooperativeRun:
         self.context = ContextState(x0, fn(x0), fn.terms(x0))
         # book-keeping for the objective, not seen by the optimizers: per
         # sub-problem, the positions of the groups its rows change
-        self.touched = [fn.groups_of(indices) for indices in decomposition.subproblems]
+        self.touched = [fn.groups_of(indices) for indices in self.subproblems]
 
         self.cursor = 0
         self.generation = 0
         self.record = RunRecord(seed=self.seed)
 
     @staticmethod
-    def min_budget(decomposition: Decomposition, params: RunParams) -> int:
+    def min_budget(subproblems: Sequence[Sequence[int]], params: RunParams) -> int:
         """Real evaluations spent before the first generation: the charged
         ``x0``. An optimizer whose set-up costs more overrides this."""
         return 1
@@ -189,7 +190,7 @@ class CooperativeRun:
         """Seed sub-problem ``g`` from ``sub_rngs[g]``, in the function's box
         at its indices: a ``p``-row inferior archive, then ``n`` uniform
         population rows, all scored ``-inf``."""
-        indices, rng = self.decomposition.subproblems[g], self.sub_rngs[g]
+        indices, rng = self.subproblems[g], self.sub_rngs[g]
         lower, upper = self.fn.lower[indices], self.fn.upper[indices]
         inferior = rng.uniform(lower, upper, (self.params.p, indices.size))
         pop = rng.uniform(lower, upper, (n, indices.size))
@@ -217,9 +218,9 @@ class CooperativeRun:
         into one working copy of the context and scored by one
         ``fn.evaluate`` call that recomputes only the groups ``g`` touches,
         which is bit-identical to ``fn(embed(context.x, idx, row))`` with
-        ``idx = decomposition.subproblems[g]``. The copy and the
+        ``idx = subproblems[g]``. The copy and the
         ``KnownTerms`` those calls share are made once per batch."""
-        idx = self.decomposition.subproblems[g]
+        idx = self.subproblems[g]
         rows = float_array("rows", rows, (None, idx.size))
         known = self.fn.known(self.context.terms, self.touched[g])
         x = self.context.x.copy()
@@ -240,7 +241,7 @@ class CooperativeRun:
         ``f`` without another objective call. It stays at rounding level
         unless ``f`` is book-kept from gains that interacting sub-problems
         made stale."""
-        x = embed(self.context.x, self.decomposition.subproblems[g], x_g)
+        x = embed(self.context.x, self.subproblems[g], x_g)
         known = self.fn.known(self.context.terms, self.touched[g])
         self.context = ContextState(x, f, self.fn.terms(x, known))
         self.record.context_updates += 1

@@ -26,27 +26,30 @@ harvest, so the trace always ends at the last charged evaluation.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .benchmarks import BenchmarkFunction
-from .decomposition import Decomposition
 from .runtime import CooperativeRun, RunParams, RunRecord
 
 
 class ShadeCC(CooperativeRun):
-    """One seeded run of the traditional cooperative coevolution baseline."""
+    """One seeded run of the traditional cooperative coevolution baseline on
+    ``fn``, split into ``subproblems``, any index lists that partition its
+    variables."""
 
     algorithm = "shade-cc"
 
     def __init__(
         self,
         fn: BenchmarkFunction,
-        decomposition: Decomposition,
+        subproblems: Sequence[Sequence[int]],
         params: RunParams,
         seed: int,
     ):
-        super().__init__(fn, decomposition, params, seed)
-        self.subs = [self.new_sub(g, params.p) for g in range(decomposition.k)]
+        super().__init__(fn, subproblems, params, seed)
+        self.subs = [self.new_sub(g, params.p) for g in range(len(self.subproblems))]
         self.add_row(-1, self.context.f)
 
     def _visit(self, g: int):
@@ -88,5 +91,5 @@ class ShadeCC(CooperativeRun):
     def run(self) -> RunRecord:
         while not self.budget.exhausted:
             self._visit(self.cursor)
-            self.cursor = (self.cursor + 1) % self.decomposition.k
+            self.cursor = (self.cursor + 1) % len(self.subproblems)
         return self.finish()

@@ -25,12 +25,11 @@ screened trials alike, goes through the one charged row evaluator,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .benchmarks import BenchmarkFunction
-from .decomposition import Decomposition
 from .rbf import TrainingArchive, TrainingError, train_surrogate
 from .runtime import BudgetExhausted, CooperativeRun, RunParams, RunRecord
 from .shade import select_best, two_step_select, worst_replacement
@@ -49,13 +48,14 @@ class GenReport:
     fallback: bool
 
 
-def initialization_cost(decomposition: Decomposition, params: RunParams) -> int:
+def initialization_cost(subproblems: Sequence[Sequence[int]], params: RunParams) -> int:
     """Real evaluations consumed before the first generation."""
-    return 1 + sum(max(params.d_factor * idx.size, params.p) for idx in decomposition.subproblems)
+    return 1 + sum(max(params.d_factor * len(idx), params.p) for idx in subproblems)
 
 
 class SurrogateCC(CooperativeRun):
-    """One seeded run of the surrogate-assisted optimizer."""
+    """One seeded run of the surrogate-assisted optimizer on ``fn``, split
+    into ``subproblems``, any index lists that partition its variables."""
 
     algorithm = "sacc"
     min_budget = staticmethod(initialization_cost)
@@ -63,15 +63,15 @@ class SurrogateCC(CooperativeRun):
     def __init__(
         self,
         fn: BenchmarkFunction,
-        decomposition: Decomposition,
+        subproblems: Sequence[Sequence[int]],
         params: RunParams,
         seed: int,
     ):
-        super().__init__(fn, decomposition, params, seed)
+        super().__init__(fn, subproblems, params, seed)
 
         self.subs = []
         self.archives: list[TrainingArchive] = []
-        for g, indices in enumerate(decomposition.subproblems):
+        for g, indices in enumerate(self.subproblems):
             d = params.d_factor * indices.size
             st = self.new_sub(g, max(d, params.p))
             vals = self.context.f - self.evaluate_rows(g, st.pop)
@@ -141,7 +141,7 @@ class SurrogateCC(CooperativeRun):
             st.pop_vals -= gain
             context_updated = True
 
-        self.cursor = (self.cursor + 1) % self.decomposition.k
+        self.cursor = (self.cursor + 1) % len(self.subproblems)
         self.close_generation(g, evaluated.size, self.context.f)
         return GenReport(evaluated.size, successes, context_updated, truncated, fallback)
 

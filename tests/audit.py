@@ -64,9 +64,9 @@ class Audit:
                 f"context fitness drift {rel:.3e} (kept {opt.context.f!r}, "
                 f"re-evaluated {fresh!r})"
             )
-        if opt.decomposition.k > 1:
-            h = (g + 1) % opt.decomposition.k
-            other, idx = opt.subs[h], opt.decomposition.subproblems[h]
+        if len(opt.subproblems) > 1:
+            h = (g + 1) % len(opt.subproblems)
+            other, idx = opt.subs[h], opt.subproblems[h]
             stored = float(other.pop_vals[0])
             fresh_imp = opt.context.f - opt.fn(embed(opt.context.x, idx, other.pop[0]))
             err = abs(fresh_imp - stored) / max(1.0, abs(stored))

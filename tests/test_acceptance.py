@@ -79,9 +79,9 @@ def test_criterion_2_success_set_matches_greedy_oracle():
     for trial_seed in range(1, 51):
         fn = make_separable("sphere", 5, seed=trial_seed)
         decomp = ideal_decompose(fn, 5)
-        idx = decomp.subproblems[0]
         params = RunParams(max_fe=60, p=20, q=20, d_factor=5)
         opt = SurrogateCC(fn, decomp, params, seed=trial_seed)
+        idx = opt.subproblems[0]
 
         x_pre = opt.context.x.copy()
         f_pre = opt.context.f
@@ -127,12 +127,12 @@ def test_criterion_3_fe_conservation():
         decomp = ideal_decompose(fn, s_sep)
         probe = RunParams(max_fe=10**9, p=p, q=q, d_factor=5)
         init = initialization_cost(decomp, probe)
-        assert init == 1 + sum(max(5 * idx.size, p) for idx in decomp.subproblems)
+        assert init == 1 + sum(max(5 * len(idx), p) for idx in decomp)
         generations = int(rng.integers(0, 15))
         params = RunParams(max_fe=init + q * generations, p=p, q=q, d_factor=5)
         opt = SurrogateCC(fn, decomp, params, seed=int(rng.integers(1000)))
         record = opt.run()
-        expected = 1 + sum(max(5 * idx.size, p) for idx in decomp.subproblems) + q * generations
+        expected = 1 + sum(max(5 * len(idx), p) for idx in decomp) + q * generations
         assert opt.budget.used == expected == params.max_fe
         assert len(record.rows) - 1 == generations
         assert record.fallback_generations == 0
@@ -160,7 +160,7 @@ def test_criterion_4_rebase_consistency_audited_run():
     # every sub-problem, population and training archive alike, must still
     # match a fresh evaluation
     sweep_err = 0.0
-    for st, archive, idx in zip(opt.subs, opt.archives, decomp.subproblems):
+    for st, archive, idx in zip(opt.subs, opt.archives, opt.subproblems):
         stored = [(st.pop[j], st.pop_vals[j]) for j in range(0, params.p, 25)]
         stored += [(archive.points[j], archive.values[j]) for j in range(0, len(archive), 25)]
         for x_g, value in stored:
@@ -202,16 +202,13 @@ def head_to_head(tmp_path_factory):
         out=str(out),
     )
     start = time.perf_counter()
-    sacc = run_experiment(config, write=False)
-    shade_cc = run_experiment(
-        dataclasses.replace(config, algorithm="shade-cc"), write=False
-    )
+    sacc = run_experiment(config)
+    shade_cc = run_experiment(dataclasses.replace(config, algorithm="shade-cc"))
     elapsed = time.perf_counter() - start
     cc_double = run_experiment(
         dataclasses.replace(
-            config, algorithm="shade-cc", budget=2 * HEAD_TO_HEAD_BUDGET
-        ),
-        write=False,
+            config, algorithm="shade-cc", budget=2 * HEAD_TO_HEAD_BUDGET, out=str(out / "double")
+        )
     )
     return {
         "sacc": sacc,
@@ -326,7 +323,7 @@ def test_criterion_8_reruns_are_byte_identical(tmp_path):
     not os.environ.get("COOPEVO_EXTENDED"),
     reason="long full-scale run; set COOPEVO_EXTENDED=1 to enable",
 )
-def test_criterion_9_full_scale_magnitude():
+def test_criterion_9_full_scale_magnitude(tmp_path):
     config = ExperimentConfig(
         functions=("f01",),
         dim=1000,
@@ -335,9 +332,9 @@ def test_criterion_9_full_scale_magnitude():
         runs=5,
         seed=1,
         s_sep=20,
-        out="results/extended",
+        out=str(tmp_path),
     )
-    result = run_experiment(config, write=False)
+    result = run_experiment(config)
     row = result.summary_for("f01")
     # reference mean for this setting is 4.33e+03 on the official data files;
     # with regenerated shifts/rotations we only ask for the same magnitude

@@ -15,6 +15,7 @@ from coopevo.benchmarks import (
     BenchmarkFunction,
     Group,
     check_integer,
+    elliptic,
     float_array,
     get_function,
     make_separable,
@@ -105,6 +106,17 @@ def _loop_rastrigin(z):
     for zi in z:
         total += zi * zi - 10.0 * math.cos(2.0 * math.pi * zi) + 10.0
     return total
+
+
+def test_elliptic_of_one_variable_is_its_square():
+    # a group of one variable gets the coefficient 1.0 (the 20-d f04, f09
+    # and f14 have such groups), in 1-D and in stacked form
+    z = np.random.default_rng(5).uniform(-100.0, 100.0, 1000)
+    assert elliptic(z[:, None]).tolist() == (z * z).tolist()
+    assert [elliptic(z[i:i + 1]) for i in range(z.size)] == (z * z).tolist()
+    for fid in ("f04", "f09", "f14"):
+        fn = get_function(fid, 20, seed=1)
+        assert any(g.base == "elliptic" and len(g.indices) == 1 for g in fn.groups), fid
 
 
 def test_terms_against_straight_line_oracle():
@@ -280,6 +292,22 @@ def test_constructor_rejects_a_seed_that_is_not_an_integer(seed):
         BenchmarkFunction(**_two_group_kwargs(seed=seed))
 
 
+def test_function_keeps_its_own_read_only_shift_and_bounds():
+    # the shift was the caller's array: zeroing it moved f04's optimum away
+    # from fn.shift (fn(fn.shift) read 2.59e15)
+    ref = get_function("f04", 40, seed=1)
+    shift = ref.shift.copy()
+    fn = BenchmarkFunction(ref.fid, shift, ref.groups, ref.seed)
+    assert fn.shift is not shift
+    shift[:] = 0.0
+    assert fn(ref.shift) == 0.0 and fn(fn.shift) == 0.0
+    assert fn.shift.tolist() == ref.shift.tolist()
+    for name in ("shift", "lower", "upper"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(fn, name)[0] = 1.0
+    assert fn.manifest() == ref.manifest()
+
+
 def test_constructor_stores_a_numpy_integer_seed_as_int():
     fn = BenchmarkFunction(**_two_group_kwargs(seed=np.int64(3)))
     assert type(fn.seed) is int and fn.seed == 3
@@ -404,7 +432,7 @@ def _reference_terms(fn, x):
     return terms
 
 
-@pytest.mark.parametrize("dim", [40, 1000])
+@pytest.mark.parametrize("dim", [20, 40, 1000])
 def test_evaluation_is_bit_identical_to_per_group_formula(dim):
     rng = np.random.default_rng(dim)
     functions = [get_function(fid, dim, seed=1) for fid in FUNCTION_IDS]

@@ -7,83 +7,122 @@ import numpy as np
 import pytest
 
 from coopevo.benchmarks import get_function, make_separable, make_suite
-from coopevo.decomposition import Decomposition, embed, ideal_decompose
+from coopevo.decomposition import embed, ideal_decompose, to_dict
+from coopevo.runtime import CooperativeRun, RunParams
+from coopevo.shade_cc import ShadeCC
+from coopevo.surrogate_cc import SurrogateCC
 
 
 def test_separable_chunking_reference_scale():
     fn = get_function("f01", 1000, seed=1)
     decomp = ideal_decompose(fn, 20)
-    assert decomp.k == 50
-    assert all(idx.size == 20 for idx in decomp.subproblems)
+    assert len(decomp) == 50
+    assert all(len(idx) == 20 for idx in decomp)
 
 
 def test_partially_separable_counts():
     fn = get_function("f10", 1000, seed=1)
     decomp = ideal_decompose(fn, 100)
     # 500 separable variables in blocks of 100, plus ten rotated groups
-    assert decomp.k == 15
-    sizes = sorted(idx.size for idx in decomp.subproblems)
+    assert len(decomp) == 15
+    sizes = sorted(len(idx) for idx in decomp)
     assert sizes == [50] * 10 + [100] * 5
 
 
 def test_whole_problem_single_chunk():
     fn = make_separable("sphere", 10, seed=1)
     decomp = ideal_decompose(fn, 10)
-    assert decomp.k == 1
-    assert np.array_equal(decomp.subproblems[0], np.arange(10))
+    assert decomp == [list(range(10))]
 
 
 def test_trailing_chunk_may_be_smaller():
     fn = make_separable("sphere", 25, seed=1)
     decomp = ideal_decompose(fn, 10)
-    assert [idx.size for idx in decomp.subproblems] == [10, 10, 5]
+    assert [len(idx) for idx in decomp] == [10, 10, 5]
 
 
 def test_partition_is_disjoint_and_exhaustive():
     fn = get_function("f09", 100, seed=2)
     decomp = ideal_decompose(fn, 7)
-    seen = np.concatenate(decomp.subproblems)
-    assert sorted(seen.tolist()) == list(range(100))
+    seen = [i for idx in decomp for i in idx]
+    assert sorted(seen) == list(range(100))
+
+
+def run_on(subproblems, n=3):
+    """A run of an ``n``-d sphere on ``subproblems``, which its constructor
+    checks once."""
+    return CooperativeRun(make_separable("sphere", n, seed=1), subproblems,
+                          RunParams(max_fe=10), seed=1)
 
 
 def test_decomposition_validates_partition():
-    with pytest.raises(ValueError):
-        Decomposition((np.array([0, 1]), np.array([1, 2])))
-    # float indices would otherwise fail later, in embed
-    with pytest.raises(ValueError, match=re.escape("group entry must be an integer, got 0.0")):
-        Decomposition((np.array([0.0, 1.0]),))
+    cases = [
+        ([[0, 1], [1, 2]], "groups are not disjoint"),
+        ([[0, 0, 1], [2]], "index 0 repeated in one group"),
+        ([[0, 1, 2], []], "empty group"),
+        # float indices would otherwise fail later, in embed
+        ([np.array([0.0, 1.0]), [2]], "group entry must be an integer, got 0.0"),
+        ([[0, True], [2]], "group entry must be an integer, got True"),
+    ]
+    for subproblems, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_on(subproblems)
 
 
 def test_decomposition_derives_n_from_its_subproblems():
     # n was an argument: True was accepted and written as "n": true, and a
-    # numpy integer made to_dict() fail in json.dumps
+    # numpy integer made the manifest entry fail in json.dumps
     subs = [np.array(idx, dtype=np.int64) for idx in [[2, 0], [1]]]
-    decomp = Decomposition(tuple(subs))
-    assert type(decomp.n) is int and decomp.n == 3
-    assert json.loads(json.dumps(decomp.to_dict()))["n"] == 3
+    run = run_on(subs)
+    assert [idx.tolist() for idx in run.subproblems] == [[2, 0], [1]]
+    entry = to_dict(subs)
+    assert type(entry["n"]) is int and entry["n"] == 3
+    assert json.loads(json.dumps(entry))["n"] == 3
+    # a decomposition of another dimension is not a partition of the
+    # function's variables
     with pytest.raises(ValueError, match="do not cover 0..n-1"):
-        Decomposition((subs[0],))
+        run_on((subs[0],))
     with pytest.raises(ValueError, match="do not cover 0..n-1"):
-        Decomposition(())
+        run_on(())
+    with pytest.raises(ValueError, match="do not cover 0..n-1"):
+        run_on(subs, n=4)
 
 
 def test_subproblem_ids_are_positions():
     # a run looks each sub-problem's book-keeping up by its position, so no
     # id is stored that could disagree with it: the manifest writes the
-    # position, whatever order the index arrays come in
-    decomp = Decomposition(([1], [0]))
-    assert decomp.k == 2
-    assert [sub["id"] for sub in decomp.to_dict()["subproblems"]] == [0, 1]
-    assert [sub["indices"] for sub in decomp.to_dict()["subproblems"]] == [[1], [0]]
-    assert Decomposition([[0, 1], [2, 3]]).to_dict()["subproblems"][1] == {
-        "id": 1, "s": 2, "indices": [2, 3]}
+    # position, whatever order the index lists come in
+    assert len(run_on([[1], [0]], n=2).subproblems) == 2
+    assert [sub["id"] for sub in to_dict([[1], [0]])["subproblems"]] == [0, 1]
+    assert [sub["indices"] for sub in to_dict([[1], [0]])["subproblems"]] == [[1], [0]]
+    assert to_dict([[0, 1], [2, 3]])["subproblems"][1] == {"id": 1, "s": 2, "indices": [2, 3]}
+
+
+def test_run_keeps_read_only_copies_of_the_index_lists():
+    # the run's one partition check holds for the whole run: the caller's
+    # lists can change afterwards, and the run's arrays cannot be written
+    fn = make_separable("sphere", 4, seed=1)
+    for optimizer in (SurrogateCC, ShadeCC):
+        lists = [[0, 1], [2, 3]]
+        params = RunParams(max_fe=optimizer.min_budget(lists, RunParams(max_fe=1, p=20)) + 200,
+                           p=20)
+        run = optimizer(fn, lists, params, seed=1)
+        lists[0][0] = 2
+        assert [idx.tolist() for idx in run.subproblems] == [[0, 1], [2, 3]]
+        for idx in run.subproblems:
+            with pytest.raises(ValueError, match="read-only"):
+                idx[0] = 3
+        record = run.run()
+        assert record.rows[-1].fe_used == params.max_fe
+        assert record.final_f == pytest.approx(fn(record.final_x), rel=1e-12)
 
 
 def test_ideal_decompose_rejects_bad_args():
     fn = make_separable("sphere", 10, seed=1)
     with pytest.raises(ValueError):
         ideal_decompose(fn, 0)
-    assert ideal_decompose(fn, np.int64(4)).to_dict() == ideal_decompose(fn, 4).to_dict()
+    # index lists compare by value; a tuple of index arrays raised on ==
+    assert ideal_decompose(fn, np.int64(4)) == ideal_decompose(fn, 4)
 
 
 @pytest.mark.parametrize("s_sep", [2.5, True, np.float64(3.0)], ids=["float", "bool", "np-float"])
@@ -106,7 +145,7 @@ def test_ideal_decompose_rejects_non_integer_s_sep(s_sep):
 def test_suite_decomposition_is_pinned(dim, s_sep, digest):
     # every sub-problem of all 18 functions, separable tails shorter than
     # s_sep included; the output set runs only four of them
-    dumped = json.dumps([ideal_decompose(fn, s_sep).to_dict() for fn in make_suite(dim, 1)])
+    dumped = json.dumps([to_dict(ideal_decompose(fn, s_sep)) for fn in make_suite(dim, 1)])
     assert hashlib.sha256(dumped.encode()).hexdigest() == digest
 
 
@@ -136,16 +175,15 @@ def test_embed_extract_round_trip():
 
 
 def test_subproblem_stores_an_index_list_as_a_1d_integer_array():
-    decomp = Decomposition(([0, 1],))
-    (idx,) = decomp.subproblems
+    (idx,) = run_on(([0, 1],), n=2).subproblems
     assert isinstance(idx, np.ndarray)
     assert idx.dtype.kind == "i" and idx.tolist() == [0, 1]
-    assert decomp.n == 2
     assert embed(np.zeros(2), idx, [3.0, 4.0]).tolist() == [3.0, 4.0]
-    for indices, shape in ((np.array([[0, 1]]), "(1, 2)"), (0, "()")):
-        message = re.escape(f"indices must have shape (any,), got {shape}")
-        with pytest.raises(ValueError, match=message):
-            Decomposition((indices,))
+    # a 2-D array's entries are rows, and a number is no sequence
+    for indices, message in ((np.array([[0, 1]]), "group entry must be an integer, got [0, 1]"),
+                             (0, "group must be a sequence of integers, got 0")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_on((indices,), n=2)
 
 
 def test_embed_rejects_length_mismatch():
@@ -159,7 +197,7 @@ def test_embedded_delta_depends_only_on_own_block():
     # block's own context slice stays fixed
     fn = make_separable("rastrigin", 12, seed=5)
     decomp = ideal_decompose(fn, 4)
-    idx = decomp.subproblems[1]
+    idx = decomp[1]
     rng = np.random.default_rng(8)
     lower, upper = fn.lower[idx], fn.upper[idx]
     x_g = rng.uniform(lower, upper)
@@ -176,9 +214,9 @@ def test_embedded_delta_depends_only_on_own_block():
 def test_serializable_for_run_record():
     fn = get_function("f04", 40, seed=1)
     decomp = ideal_decompose(fn, 10)
-    d = decomp.to_dict()
+    d = to_dict(decomp)
     assert d["n"] == 40
-    assert len(d["subproblems"]) == decomp.k
+    assert len(d["subproblems"]) == len(decomp)
     assert all(isinstance(s["indices"], list) for s in d["subproblems"])
 
 
@@ -204,12 +242,12 @@ def interacting_pairs(fn, decomp, seed):
     x = rng.uniform(fn.lower, fn.upper)
     f1 = fn(x)
     moved = [embed(x, idx, rng.uniform(fn.lower[idx], fn.upper[idx]))
-             for idx in decomp.subproblems]
+             for idx in decomp]
     f_moved = [fn(y) for y in moved]
     pairs, ratios = [], {False: [0.0], True: [math.inf]}
-    for i in range(decomp.k):
-        for j in range(i + 1, decomp.k):
-            idx = decomp.subproblems[j]
+    for i in range(len(decomp)):
+        for j in range(i + 1, len(decomp)):
+            idx = decomp[j]
             f2, f3 = f_moved[i], f_moved[j]
             f4 = fn(embed(moved[i], idx, moved[j][idx]))
             ratio = abs((f2 - f1) - (f4 - f3)) / (gamma * (abs(f1) + abs(f2) + abs(f3) + abs(f4)))

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from audit import AUDIT_RTOL
 from coopevo.benchmarks import FUNCTION_IDS, get_function
-from coopevo.decomposition import Decomposition, ideal_decompose
+from coopevo.decomposition import ideal_decompose
 from coopevo.runtime import RunParams
 from coopevo.shade_cc import ShadeCC
 from coopevo.surrogate_cc import SurrogateCC, initialization_cost
@@ -45,7 +45,7 @@ def index_lists(draw, fid):
         cuts = sorted(draw(st.sets(st.integers(1, DIM - 1), max_size=6)))
         return [order[a:b] for a, b in zip([0, *cuts], [*cuts, DIM])]
     s_sep = draw(st.integers(1, DIM))
-    return [idx.tolist() for idx in ideal_decompose(suite_function(fid), s_sep).subproblems]
+    return ideal_decompose(suite_function(fid), s_sep)
 
 
 @st.composite
@@ -56,14 +56,13 @@ def runs(draw, optimizer):
     p = draw(st.integers(4, 24))
     params = RunParams(max_fe=1, p=p, q=draw(st.integers(1, p)),
                        d_factor=draw(st.integers(1, 5)), visit_len=draw(st.integers(1, 6)))
-    need = optimizer.min_budget(Decomposition(lists), params)
+    need = optimizer.min_budget(lists, params)
     params = replace(params, max_fe=need + draw(st.integers(0, 150)))
     return suite_function(fid), lists, params, draw(st.integers(0, 2**32 - 1))
 
 
 def check_invariants(optimizer, fn, lists, params, seed):
-    decomp = Decomposition(lists)
-    run = optimizer(fn, decomp, params, seed)
+    run = optimizer(fn, lists, params, seed)
     record = run.run()
     fe = [row.fe_used for row in record.rows]
     f_best = [row.f_best for row in record.rows]
@@ -79,7 +78,7 @@ def check_invariants(optimizer, fn, lists, params, seed):
     if optimizer is SurrogateCC:
         # the initial pool, as README's formula counts it, then the first row
         formula = 1 + sum(max(params.d_factor * len(idx), params.p) for idx in lists)
-        assert fe[0] == initialization_cost(decomp, params) == formula
+        assert fe[0] == initialization_cost(run.subproblems, params) == formula
 
 
 @pytest.mark.parametrize("optimizer", [ShadeCC, SurrogateCC], ids=["shade-cc", "sacc"])

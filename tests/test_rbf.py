@@ -662,7 +662,7 @@ import numpy as np
 def tiny_sacc(harness):
     config = harness.ExperimentConfig(functions=("f01",), dim=20, algorithm="sacc",
                                       budget=600, runs=1)
-    return harness.run_experiment(config, write=False).records["f01"][0].final_f
+    return harness.run_experiment(config).records["f01"][0].final_f
 """
 
 

@@ -20,7 +20,7 @@ def check_rows(run, g, rng):
     the context's terms as the full path computes them (not the run's kept
     terms), which ``test_benchmarks`` checks against the per-group formula.
     Returns the last batch and its values."""
-    fn, x, idx = run.fn, run.context.x, run.decomposition.subproblems[g]
+    fn, x, idx = run.fn, run.context.x, run.subproblems[g]
     known = fn.known(fn.terms(x), fn.groups_of(idx))
     for b in BATCH_SIZES:
         rows = rng.uniform(fn.lower[idx], fn.upper[idx], (b, idx.size))
@@ -44,7 +44,7 @@ def test_evaluate_rows_is_bit_equal_to_full_evaluation(fid, dim):
     # first pass: each sub-problem after the adopts of the ones before it;
     # second pass: every sub-problem after every adopt
     for _ in range(2):
-        for g in range(decomp.k):
+        for g in range(len(decomp)):
             rows, values = check_rows(run, g, rng)
             best = int(np.argmin(values))
             run.adopt(g, rows[best], float(values[best]))
@@ -56,21 +56,21 @@ def test_rotated_sub_problems_touch_only_their_own_group():
     fn = get_function("f09", 40, 1)  # a separable block and ten rotated groups
     decomp = ideal_decompose(fn, 7)
     run = CooperativeRun(fn, decomp, RunParams(max_fe=10), seed=1)
-    for idx, touched in zip(decomp.subproblems, run.touched):
+    for idx, touched in zip(run.subproblems, run.touched):
         (pos,) = touched
         assert set(idx.tolist()) <= set(fn.groups[pos].indices)
     # every sub-problem of a one-group function touches that group
     fn = get_function("f01", 40, 1)
     decomp = ideal_decompose(fn, 7)
     run = CooperativeRun(fn, decomp, RunParams(max_fe=10), seed=1)
-    assert run.touched == [(0,)] * decomp.k
+    assert run.touched == [(0,)] * len(decomp)
 
 
 def test_evaluate_rows_stops_at_the_budget():
     fn = get_function("f14", 40, 1)
     decomp = ideal_decompose(fn, 2)
     run = CooperativeRun(fn, decomp, RunParams(max_fe=4), seed=1)
-    idx = decomp.subproblems[3]
+    idx = run.subproblems[3]
     lower, upper = fn.lower[idx], fn.upper[idx]
     rows = np.random.default_rng(0).uniform(lower, upper, (5, idx.size))
     values = run.evaluate_rows(3, rows)
@@ -112,7 +112,7 @@ def test_a_decomposition_built_for_another_box_searches_the_functions_box(optimi
     record = run.run()
     charged = run.min_budget(decomp, params) + record.loop_real_evals + record.reeval_evals
     assert run.budget.used == record.rows[-1].fe_used == charged == params.max_fe
-    for st, idx in zip(run.subs, decomp.subproblems, strict=True):
+    for st, idx in zip(run.subs, run.subproblems, strict=True):
         assert st.lower.tolist() == fn.lower[idx].tolist() == [-100.0] * idx.size
         assert st.upper.tolist() == fn.upper[idx].tolist() == [100.0] * idx.size
     kinds = {"population": [st.pop for st in run.subs],
@@ -129,7 +129,7 @@ def test_evaluate_rows_leaves_the_context_untouched():
     run = small_run()
     x, terms = run.context.x.copy(), run.context.terms.copy()
     rng = np.random.default_rng(0)
-    for g, idx in enumerate(run.decomposition.subproblems):
+    for g, idx in enumerate(run.subproblems):
         lower, upper = run.fn.lower[idx], run.fn.upper[idx]
         run.evaluate_rows(g, rng.uniform(lower, upper, (3, idx.size)))
         assert run.context.x.tolist() == x.tolist()
@@ -139,7 +139,7 @@ def test_evaluate_rows_leaves_the_context_untouched():
 @pytest.mark.parametrize("shape", [(7,), (2, 6), (2, 8), (0,), (1, 1, 7)])
 def test_evaluate_rows_rejects_rows_of_the_wrong_shape(shape):
     run = small_run()
-    assert run.decomposition.subproblems[0].size == 7
+    assert run.subproblems[0].size == 7
     with pytest.raises(ValueError, match=re.escape(f"rows must have shape (any, 7), got {shape}")):
         run.evaluate_rows(0, np.zeros(shape))
     assert run.budget.used == 1
@@ -157,7 +157,7 @@ def test_evaluate_rows_makes_one_evaluate_call_with_known_terms_per_row(b, max_f
         return evaluate(self, x, known=known)
 
     monkeypatch.setattr(BenchmarkFunction, "evaluate", counted)
-    idx = run.decomposition.subproblems[2]
+    idx = run.subproblems[2]
     lower, upper = run.fn.lower[idx], run.fn.upper[idx]
     rows = np.random.default_rng(b).uniform(lower, upper, (b, idx.size))
     values = run.evaluate_rows(2, rows)

@@ -75,7 +75,7 @@ def test_budget_ends_inside_revisit_refresh(seed):
     # refresh: that visit charges only what it refreshed, closes no
     # generation and traces one row at the end of the budget
     p, visit_len = 10, 3
-    k = make_cc()[1].k
+    k = len(make_cc()[1])
     for off in range(p):
         max_fe = 1 + k * (p + visit_len * p) + off
         fn, _, cc = make_cc(seed=seed, p=p, visit_len=visit_len, max_fe=max_fe)
@@ -156,7 +156,7 @@ def test_shares_operator_code_with_surrogate_optimizer():
     sacc = SurrogateCC(fn, decomp, RunParams(max_fe=3000, p=20), seed=1)
     for opt in (cc, sacc):
         assert isinstance(opt, CooperativeRun)
-        assert len(opt.subs) == decomp.k
+        assert len(opt.subs) == len(decomp)
         assert all(type(st) is SubState for st in opt.subs)
     trial_ops = ("sample_params", "pbest_fraction", "mutate_crossover")
     for module, names in (
@@ -177,7 +177,7 @@ def test_shared_start_and_dimension_check(cls):
     assert opt.context.f == cc.context.f
 
     wider = make_separable("sphere", 20, 5)
-    with pytest.raises(ValueError, match="dimension"):
+    with pytest.raises(ValueError, match="groups do not cover 0..n-1"):
         cls(wider, decomp, RunParams(max_fe=3000, p=20), seed=5)
 
 

@@ -37,7 +37,7 @@ def test_improvement_of_own_component_is_zero():
     fn, decomp, opt = make_opt()
     x = np.random.default_rng(0).uniform(fn.lower, fn.upper)
     set_context(opt, x, 10)
-    idx = decomp.subproblems[1]
+    idx = opt.subproblems[1]
     improvement = opt.context.f - opt.evaluate_rows(1, x[idx][None, :])
     assert improvement.tolist() == [0.0]
     assert opt.budget.used == 1
@@ -48,7 +48,7 @@ def test_improvement_sign_means_strictly_better():
     rng = np.random.default_rng(1)
     x = rng.uniform(fn.lower, fn.upper)
     set_context(opt, x, 100)
-    idx = decomp.subproblems[0]
+    idx = opt.subproblems[0]
     rows = rng.uniform(fn.lower[idx], fn.upper[idx], (20, idx.size))
     improvement = opt.context.f - opt.evaluate_rows(0, rows)
     better = [fn(embed(x, idx, x_g)) < opt.context.f for x_g in rows]
@@ -61,7 +61,7 @@ def test_improvement_independent_of_other_components():
     # whatever the rest of the context looks like, as long as the context's
     # own block is fixed
     fn, decomp, opt = make_opt(base="rastrigin")
-    idx = decomp.subproblems[0]
+    idx = opt.subproblems[0]
     rng = np.random.default_rng(2)
     lower, upper = fn.lower[idx], fn.upper[idx]
     x_g = rng.uniform(lower, upper)
@@ -83,7 +83,7 @@ def test_improvement_budget_exhaustion():
     rng = np.random.default_rng(3)
     x = rng.uniform(fn.lower, fn.upper)
     set_context(opt, x, 3)
-    idx = decomp.subproblems[0]
+    idx = opt.subproblems[0]
     rows = rng.uniform(fn.lower[idx], fn.upper[idx], (5, idx.size))
     values = opt.evaluate_rows(0, rows)
     assert values.tolist() == [fn(embed(x, idx, x_g)) for x_g in rows[:3]]
@@ -145,7 +145,7 @@ def test_initial_state_deterministic_per_seed():
 
 def test_population_entries_are_real_evaluated():
     fn, decomp, opt = make_opt()
-    for st, idx in zip(opt.subs, decomp.subproblems, strict=True):
+    for st, idx in zip(opt.subs, opt.subproblems, strict=True):
         for x_g, val in zip(st.pop, st.pop_vals):
             expect = opt.context.f - fn(embed(opt.context.x, idx, x_g))
             assert val == pytest.approx(expect, rel=1e-12, abs=1e-12)
@@ -242,9 +242,9 @@ def test_audit_mode_runs_clean_on_rotated_groups():
     # rows of f14 reuse the context's kept terms, which the audit checks
     _, decomp, opt = rotated_opt()
     audit = Audit(opt)
-    for _ in range(2 * decomp.k):
+    for _ in range(2 * len(decomp)):
         audit.step()
-    assert opt.record.context_updates > decomp.k // 2
+    assert opt.record.context_updates > len(decomp) // 2
     assert audit.max_rel_err <= 1e-9
     assert audit.max_crosscheck_err <= 1e-9
 
@@ -253,11 +253,11 @@ def test_audit_catches_a_corrupted_kept_term():
     fn, decomp, opt = rotated_opt()
     # the group of the sub-problem visited last in the round: no adopt before
     # that visit recomputes it
-    (pos,) = fn.groups_of(decomp.subproblems[-1])
+    (pos,) = fn.groups_of(opt.subproblems[-1])
     opt.context.terms[pos] += 1e-6
     audit = Audit(opt)
     with pytest.raises(AuditFailure, match=rf"kept context terms of groups \[{pos}\]"):
-        for _ in range(decomp.k - 1):
+        for _ in range(len(decomp) - 1):
             audit.step()
 
 
