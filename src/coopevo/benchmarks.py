@@ -56,7 +56,7 @@ import functools
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -272,7 +272,8 @@ class BenchmarkFunction:
     groups, rotated) coordinates, scaled by a per-group weight. Evaluation
     is pure: the same x always yields the same value. The dimension ``n``
     and the bounds are derived from ``groups``, which must partition
-    0..n-1; ``shift``, ``lower`` and ``upper`` are read-only arrays of its own.
+    0..n-1; ``shift``, ``lower``, ``upper`` and each rotation in ``groups``
+    are read-only arrays of its own.
     """
 
     fid: str
@@ -295,21 +296,26 @@ class BenchmarkFunction:
         for a in (shift, lower, upper):
             a.flags.writeable = False
         object.__setattr__(self, "shift", shift)
-        terms = []
+        groups, terms = [], []
         owner = np.empty(n, dtype=int)
         for pos, (g, idx) in enumerate(zip(self.groups, indices)):
             rot = g.rotation
             if rot is not None:
                 m = len(g.indices)
-                rot = float_array("rotation", rot, (m, m))
+                # the copy keeps the caller's memory layout, so rot.dot gives the same bits
+                rot = float_array("rotation", rot, (m, m)).copy(order="K")
                 err = np.max(np.abs(rot.T @ rot - np.eye(m)))
                 if not err <= 1e-10:  # a NaN entry makes err NaN
                     raise ValueError(f"rotation not orthogonal (err={err:.2e})")
+                rot.flags.writeable = False
+                g = replace(g, rotation=rot)
+            groups.append(g)
             weight = float(g.weight)
             if not math.isfinite(weight):
                 raise ValueError(f"group {pos} weight must be finite, got {weight!r}")
             terms.append(_Term(idx, shift[idx], rot, BASES[g.base], weight))
             owner[idx] = pos
+        object.__setattr__(self, "groups", tuple(groups))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)

@@ -15,9 +15,9 @@ floats are written with ``repr`` so they parse back bit-equal.
 ``ExperimentConfig`` declares each setting once (type, default, help); the
 CLI flags and config-file keys are its fields.
 
-Runs with the same config are bit-reproducible under a fixed BLAS thread
-configuration (the thread count can reorder floating-point sums), so any
-file here can be regenerated from the manifest and that configuration.
+Runs with the same config are bit-reproducible, so any file here can be
+regenerated from the manifest; where ``rbf`` cannot pin its solves to one
+OpenBLAS thread (see README), fix the BLAS thread configuration as well.
 """
 
 from __future__ import annotations

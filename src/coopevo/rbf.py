@@ -49,6 +49,14 @@ the scaled rows and Phi, updated by each push, was measured bit-identical
 on f14 1000-d, but it raised peak RSS by 14% (76.4 to 87.3 MiB) and gave no
 wall-time gain on its own.
 
+The solves run on one OpenBLAS thread (``_one_blas_thread``), because a
+threaded LAPACK solve sums in another order. Unpinned, one seeded
+20 000-evaluation ``sacc`` run of f01 at 100-d ended at 9.42e-08 on two
+threads and at 2.18e-07 on one; pinned, both end at 2.18e-07. The count is
+set through each loaded OpenBLAS's own ``set_num_threads``, found once in
+``/proc/self/maps``, and restored after the solve. Where there is no such
+file or no OpenBLAS, the threads are left alone.
+
 The distances come from scipy's compiled kernels, the extension module
 ``scipy.spatial._distance_pybind`` that ``scipy.spatial.distance.cdist``
 and ``pdist`` dispatch to. ``_kernels`` loads that one file at the first
@@ -65,6 +73,7 @@ against scipy 1.17.1 only: ``tests/test_rbf.py`` checks the kernels against
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
@@ -107,6 +116,47 @@ def _kernels():
         if not hasattr(module, name):
             raise ImportError(f"{module.__file__} has no function {name}")
     return module
+
+
+@cache
+def _openblas_threads() -> tuple:
+    """The thread-count getter and setter of each OpenBLAS mapped into the
+    process, found at the first call; empty without ``/proc/self/maps``."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, set_ = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
+def _one_blas_thread(solver, *args, **kwargs):
+    """``solver(*args, **kwargs)`` with every OpenBLAS found by
+    ``_openblas_threads`` on one thread, each restored to its previous
+    count afterwards, also when ``solver`` raises."""
+    libs = _openblas_threads()
+    previous = [get() for get, _ in libs]
+    try:
+        for _, set_ in libs:
+            set_(1)
+        return solver(*args, **kwargs)
+    finally:
+        for (_, set_), n in zip(libs, previous):
+            set_(n)
 
 
 @lru_cache(maxsize=8)  # a run has one archive size per sub-problem size
@@ -330,7 +380,7 @@ def train_surrogate(archive: TrainingArchive) -> RbfModel:
         )
 
     try:
-        sol = np.linalg.solve(a, rhs)
+        sol = _one_blas_thread(np.linalg.solve, a, rhs)
         if np.all(np.isfinite(sol)):
             residual = phi @ sol[:d] + a[:d, d:] @ sol[d:] - labels
             tol = INTERP_RTOL * max(1.0, float(np.max(np.abs(labels))))
@@ -351,12 +401,12 @@ def train_surrogate(archive: TrainingArchive) -> RbfModel:
         lam = 1e-12
     a[:d, :d] += lam * np.eye(d)
     try:
-        sol = np.linalg.solve(a, rhs)
+        sol = _one_blas_thread(np.linalg.solve, a, rhs)
         if not np.all(np.isfinite(sol)):
             raise np.linalg.LinAlgError("non-finite solution")
     except np.linalg.LinAlgError:
         try:
-            sol = np.linalg.lstsq(a, rhs, rcond=None)[0]
+            sol = _one_blas_thread(np.linalg.lstsq, a, rhs, rcond=None)[0]
         except np.linalg.LinAlgError as exc:
             raise TrainingError("interpolation system singular") from exc
     if not np.all(np.isfinite(sol)):

@@ -37,14 +37,14 @@ from .shade import select_best, two_step_select, worst_replacement
 
 @dataclass
 class GenReport:
-    """What one generation did beyond its trace row (mostly for tests and
-    instrumentation): the generation, sub-problem and best value are
-    ``record.rows[-1]``, and its trials are always ``params.p``."""
+    """What one generation did beyond the run record (for tests and
+    instrumentation). The record holds the rest: the generation,
+    sub-problem and best value are ``record.rows[-1]``, its real
+    evaluations ``rows[-1].fe_used - rows[-2].fe_used`` (fewer than ``q``,
+    or ``p`` in a fallback generation, only when the budget ran out), and
+    it updated the context when ``record.context_updates`` rose."""
 
-    real_evals: int
     success_idx: np.ndarray
-    context_updated: bool
-    truncated: bool
     fallback: bool
 
 
@@ -117,7 +117,7 @@ class SurrogateCC(CooperativeRun):
         else:
             parent_scores = predictor(st.pop)
             model_scores = predictor(trials)
-        trial_scores, evaluated, successes, truncated = two_step_select(
+        trial_scores, evaluated, successes, _ = two_step_select(
             parent_scores,
             model_scores,
             q,
@@ -132,18 +132,16 @@ class SurrogateCC(CooperativeRun):
         archive.push(trials[batch], trial_scores[batch])
         worst_replacement(st.pop, st.pop_vals, trials[evaluated], trial_scores[evaluated])
 
-        context_updated = False
         best = int(np.argmax(st.pop_vals))
         gain = float(st.pop_vals[best])
         if gain > 0.0:
             self.adopt(g, st.pop[best], self.context.f - gain)
             archive.rebase(gain)
             st.pop_vals -= gain
-            context_updated = True
 
         self.cursor = (self.cursor + 1) % len(self.subproblems)
         self.close_generation(g, evaluated.size, self.context.f)
-        return GenReport(evaluated.size, successes, context_updated, truncated, fallback)
+        return GenReport(successes, fallback)
 
     def run(self) -> RunRecord:
         """Step until the evaluation budget is exhausted."""

@@ -38,9 +38,9 @@ class Audit:
         self.max_crosscheck_err = 0.0
 
     def step(self) -> GenReport:
-        g = self.opt.cursor
+        g, updates = self.opt.cursor, self.opt.record.context_updates
         report = self.opt.step()
-        if report.context_updated:
+        if self.opt.record.context_updates > updates:
             self._check(g)
         return report
 

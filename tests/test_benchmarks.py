@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,6 +306,31 @@ def test_function_keeps_its_own_read_only_shift_and_bounds():
     for name in ("shift", "lower", "upper"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(fn, name)[0] = 1.0
+    assert fn.manifest() == ref.manifest()
+
+
+def test_function_keeps_its_own_read_only_rotations():
+    # the rotations were the caller's arrays: writing the identity into
+    # f04's moved fn(fn.shift + 1) from 1.558e12 to 1.000e12
+    ref = get_function("f04", 40, seed=1)
+    groups = tuple(g if g.rotation is None else replace(g, rotation=g.rotation.copy())
+                   for g in ref.groups)
+    fn = BenchmarkFunction(ref.fid, ref.shift, groups, ref.seed)
+    x = ref.shift + 1.0
+    value = fn(x)
+    assert value == ref(x)
+    rotated = [k for k, g in enumerate(groups) if g.rotation is not None]
+    assert rotated
+    for k in rotated:
+        assert fn.groups[k].rotation is not groups[k].rotation
+        assert fn.groups[k].rotation is fn._terms[k].rot  # what the terms evaluate with
+        groups[k].rotation[:] = np.eye(len(groups[k].indices))
+    assert fn(x) == value
+    for k in rotated:
+        assert fn.groups[k].rotation.tolist() == ref.groups[k].rotation.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            fn.groups[k].rotation[0, 0] = 1.0
+    assert fn(x) == value
     assert fn.manifest() == ref.manifest()
 
 

@@ -434,8 +434,9 @@ def test_non_finite_row_takes_the_row_by_row_insert():
 
 def reference_train(archive):
     """Straight-line training: full cdist kernel, C-order bordered system,
-    the same ridge and least-squares fallbacks as train_surrogate. Returns
-    the solution, the regularized flag and the path that produced it."""
+    the same ridge and least-squares fallbacks as train_surrogate, each
+    solve on one BLAS thread as there. Returns the solution, the
+    regularized flag and the path that produced it."""
     d, s = len(archive), archive.s
     centers = (archive.points - archive.lower) / (archive.upper - archive.lower)
     labels = archive.values.copy()
@@ -447,7 +448,7 @@ def reference_train(archive):
     a[d:, :d] = q.T
     rhs = np.concatenate([labels, np.zeros(s + 1)])
     try:
-        sol = np.linalg.solve(a, rhs)
+        sol = rbf._one_blas_thread(np.linalg.solve, a, rhs)
         if np.all(np.isfinite(sol)):
             residual = phi @ sol[:d] + q @ sol[d:] - labels
             tol = INTERP_RTOL * max(1.0, float(np.max(np.abs(labels))))
@@ -460,12 +461,12 @@ def reference_train(archive):
         lam = 1e-12
     a[:d, :d] += lam * np.eye(d)
     try:
-        sol = np.linalg.solve(a, rhs)
+        sol = rbf._one_blas_thread(np.linalg.solve, a, rhs)
         if not np.all(np.isfinite(sol)):
             raise np.linalg.LinAlgError("non-finite solution")
         return sol, True, "ridge"
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a, rhs, rcond=None)[0], True, "lstsq"
+        return rbf._one_blas_thread(np.linalg.lstsq, a, rhs, rcond=None)[0], True, "lstsq"
 
 
 def surrogate_archive(s, kind, seed=11):
@@ -698,3 +699,66 @@ def test_kernel_loader_names_a_missing_file_or_function(monkeypatch):
             rbf._kernels()
     finally:
         rbf._kernels.cache_clear()
+
+
+# --- BLAS threads ---------------------------------------------------------------
+
+# One seeded sacc run of f01 at 100-d, 2000 FE, s_sep 20, in a fresh
+# interpreter; it prints the final value and a digest of the trace and the
+# final point. With the solves unpinned, two threads ended it at 4.97e8 and
+# one at 5.28e8.
+THREADED_RUN = """
+import hashlib, json
+from coopevo import RunParams, SurrogateCC, get_function, ideal_decompose
+fn = get_function("f01", 100, 1)
+record = SurrogateCC(fn, ideal_decompose(fn, 20), RunParams(max_fe=2000), seed=1).run()
+digest = hashlib.sha256(repr(record.rows).encode() + record.final_x.tobytes()).hexdigest()
+print(json.dumps({"final_f": record.final_f, "digest": digest}))
+"""
+
+
+def run_on_blas_threads(threads, tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", THREADED_RUN], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_sacc_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    threads = min(2, os.cpu_count() or 1)  # never more threads than CPUs
+    if threads < 2:
+        pytest.skip("one CPU: there is no second thread count to compare")
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps: rbf cannot find OpenBLAS to pin its threads")
+    one, many = (run_on_blas_threads(n, tmp_path) for n in (1, threads))
+    assert many == one
+
+
+def test_one_blas_thread_restores_the_previous_count_also_when_the_call_raises():
+    libs = rbf._openblas_threads()
+    if not libs:
+        pytest.skip("no OpenBLAS whose thread count can be set")
+
+    def counts():
+        return [get() for get, _ in libs]
+
+    def singular():
+        inside.append(counts())
+        raise np.linalg.LinAlgError("singular")
+
+    original, inside = counts(), []
+    threads = min(2, os.cpu_count() or 1)
+    try:
+        for _, set_ in libs:
+            set_(threads)
+        assert rbf._one_blas_thread(counts) == [1] * len(libs)
+        assert counts() == [threads] * len(libs)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            rbf._one_blas_thread(singular)
+        assert inside == [[1] * len(libs)]
+        assert counts() == [threads] * len(libs)
+    finally:
+        for (_, set_), n in zip(libs, original):
+            set_(n)

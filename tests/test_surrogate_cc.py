@@ -165,9 +165,10 @@ def test_step_consumes_exactly_q_evaluations():
     used = opt.budget.used
     report = opt.step()
     assert opt.budget.used - used == 4
-    assert report.real_evals == 4
-    assert opt.params.p * opt.record.rows[-1].generation == 20  # trials made
-    assert not report.truncated and not report.fallback
+    rows = opt.record.rows
+    assert rows[-1].fe_used - rows[-2].fe_used == 4
+    assert opt.params.p * rows[-1].generation == 20  # trials made
+    assert not report.fallback
 
 
 def test_step_round_robin_cursor():
@@ -183,8 +184,9 @@ def test_context_update_rebases_contributor_to_zero():
     _, _, opt = make_opt(seed=3)
     for _ in range(10):
         g = opt.cursor
-        report = opt.step()
-        if report.context_updated:
+        before = opt.record.context_updates
+        opt.step()
+        if opt.record.context_updates > before:
             st = opt.subs[g]
             assert st.pop_vals.max() == 0.0
             break
@@ -196,8 +198,9 @@ def test_context_fitness_matches_fresh_evaluation():
     fn, _, opt = make_opt(base="rastrigin", seed=5)
     updates = 0
     for _ in range(40):
-        report = opt.step()
-        if report.context_updated:
+        before = opt.record.context_updates
+        opt.step()
+        if opt.record.context_updates > before:
             updates += 1
             fresh = fn(opt.context.x)
             assert abs(fresh - opt.context.f) <= 1e-9 * max(1.0, abs(fresh))
@@ -216,9 +219,9 @@ def test_context_fitness_never_increases():
 def test_context_updates_increment_only_on_update():
     _, _, opt = make_opt(seed=4)
     for _ in range(20):
-        before = opt.record.context_updates
-        report = opt.step()
-        assert opt.record.context_updates == before + int(report.context_updated)
+        before, context = opt.record.context_updates, opt.context
+        opt.step()
+        assert opt.record.context_updates == before + int(opt.context is not context)
 
 
 def test_audit_mode_runs_clean():
@@ -303,11 +306,11 @@ def test_step_with_stub_predictor_skips_training():
         calls.append(batch.copy())
         return np.zeros(len(batch))
 
-    report = opt.step(predictor=stub)
+    opt.step(predictor=stub)
     assert len(calls) == 2  # parents, then trials
     assert calls[0].shape == (20, 5)
     assert calls[1].shape == (20, 5)
-    assert report.real_evals == 4
+    assert opt.record.rows[-1].fe_used - opt.record.rows[-2].fe_used == 4
 
 
 # --- full runs ----------------------------------------------------------------
@@ -372,10 +375,12 @@ def test_fallback_generations_evaluate_every_trial():
     while not opt.budget.exhausted:
         reports.append(opt.step())
     assert all(r.fallback for r in reports)
-    assert [r.real_evals for r in reports] == [20, 20, 20, 7]
-    assert [r.truncated for r in reports] == [False, False, False, True]
+    fe = [row.fe_used for row in opt.record.rows]
+    real_evals = [b - a for a, b in zip(fe, fe[1:])]
+    # all p = 20 trials each, until the last generation runs out of budget
+    assert real_evals == [20, 20, 20, 7]
     assert opt.record.fallback_generations == len(reports) == opt.generation
-    assert opt.budget.used == init + sum(r.real_evals for r in reports)
+    assert opt.budget.used == init + sum(real_evals)
 
 
 def test_fe_conservation_property_random_configs():
