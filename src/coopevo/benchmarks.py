@@ -6,7 +6,10 @@ known separable and rotated nonseparable groups, so optimizers with a
 decomposition stage can be tested against the ground-truth structure.
 Shift vectors and rotation matrices are synthesized from a seed instead of
 being loaded from external data files, which keeps every run reproducible
-from the seed alone.
+from the seed and numpy's SIMD dispatch: the elliptic coefficients come
+from ``np.power``, whose last bits follow the loop numpy picks for the host
+(at 1000-d, the coefficients for groups of 50, 500, 950 and 1000 differ
+between its AVX-512 and AVX2 loops).
 
 A function is its table of groups: each ``Group`` holds its variable
 indices, its base, its weight and, if it is nonseparable, its rotation.

@@ -4,7 +4,7 @@ budget-to-match analysis, and convergence-curve export.
 Every experiment writes a self-describing output directory:
 
     <out>/<function>/<algorithm>/
-        manifest.json        config echo + code version + seeds
+        manifest.json        config echo (all but out) + code version + seeds
         run_<seed>.csv       per-generation trace of one run
         summary.csv          best/median/worst/mean/std of final values
         convergence.csv      fe, mean_fv, std_fv across runs
@@ -26,7 +26,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,8 +41,6 @@ from .surrogate_cc import SurrogateCC
 
 OPTIMIZERS = {cls.algorithm: cls for cls in (SurrogateCC, ShadeCC)}
 ALGORITHMS = tuple(OPTIMIZERS)
-
-OUTDIR_ENV = "COOPEVO_OUTDIR"
 
 
 def _setting(text: str, default=dataclasses.MISSING, low: int | None = None):
@@ -70,7 +67,7 @@ class ExperimentConfig:
     memory_size: int = _setting("success-history memory entries", RunParams.memory_size)
     visit_len: int = _setting("generations per sub-problem visit, shade-cc", RunParams.visit_len)
     suite_seed: int = _setting("seed for benchmark shift/rotation synthesis", 1, low=0)
-    out: str = _setting(f"output directory; {OUTDIR_ENV} overrides it", "results")
+    out: str = _setting("output directory", "results")
 
     def __post_init__(self):
         # a config file can carry any JSON type; an integer is stored as an
@@ -82,7 +79,6 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, int(value))
             if f.type == "str" and not isinstance(value, str):
                 raise ValueError(f"{f.name} must be a string, got {value!r}")
-        object.__setattr__(self, "out", os.environ.get(OUTDIR_ENV, self.out))
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         check_dim(self.dim)
@@ -300,7 +296,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         row = (fid, config.algorithm, config.budget, summary.runs, *map(repr, floats))
         write_table(out / "summary.csv", SUMMARY_HEADER, [row])
         manifest = {
-            "config": dataclasses.asdict(config),
+            "config": {k: v for k, v in dataclasses.asdict(config).items() if k != "out"},
             "function": fn.manifest(),
             "decomposition": to_dict(decomp),
             "seeds": seeds,

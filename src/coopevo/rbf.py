@@ -20,7 +20,11 @@ beyond the bordered system and one distance block:
 
 - Phi is symmetric with a zero diagonal, so training takes the d(d-1)/2
   pairwise distances (``pdist``) and cubes them in place. The entries are
-  bit-equal to the full ``cdist`` block.
+  bit-equal to the full ``cdist`` block. The cube is ``np.power``, whose
+  last bits follow numpy's run-time SIMD dispatch (its AVX-512 loop
+  differs from libm's ``pow`` on about 5% of entries, its AVX2 loop on
+  none), so a ``sacc`` run is bit-identical only across hosts that
+  dispatch alike.
 - The bordered system is allocated in Fortran order, the layout LAPACK
   reads, so ``np.linalg.solve`` copies it without a transpose and returns
   the same solution. The cubed distances are scattered straight into its

@@ -226,7 +226,7 @@ SACC_PATHS = {
 
 
 def modules_after(code: str, tmp_path) -> set[str]:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COOPEVO_OUTDIR=str(tmp_path / "out"),
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,

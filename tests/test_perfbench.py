@@ -11,7 +11,6 @@ here.
 
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,9 +36,8 @@ def test_traced_child_passes_its_checks_and_counts_every_charged_evaluation(work
     config = run.workload_config(workload, 1, True)
     job = {"root": str(ROOT), "config": {**config, "out": str(tmp_path / "out")},
            "traced": True, "fault": None}
-    env = {key: value for key, value in os.environ.items() if key != "COOPEVO_OUTDIR"}
     done = subprocess.run([sys.executable, str(PERFBENCH / "child.py"), json.dumps(job)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     reply = json.loads(done.stdout.strip().splitlines()[-1])
     assert reply["error"] is None

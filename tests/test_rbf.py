@@ -701,7 +701,7 @@ def test_kernel_loader_names_a_missing_file_or_function(monkeypatch):
         rbf._kernels.cache_clear()
 
 
-# --- BLAS threads ---------------------------------------------------------------
+# --- BLAS threads and SIMD dispatch ---------------------------------------------
 
 # One seeded sacc run of f01 at 100-d, 2000 FE, s_sep 20, in a fresh
 # interpreter; it prints the final value and a digest of the trace and the
@@ -717,9 +717,9 @@ print(json.dumps({"final_f": record.final_f, "digest": digest}))
 """
 
 
-def run_on_blas_threads(threads, tmp_path):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+def run_threaded(tmp_path, **env):
+    """THREADED_RUN's reply, run under this environment with ``env`` set."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), **env)
     done = subprocess.run([sys.executable, "-c", THREADED_RUN], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -732,8 +732,22 @@ def test_sacc_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         pytest.skip("one CPU: there is no second thread count to compare")
     if not os.path.exists("/proc/self/maps"):
         pytest.skip("no /proc/self/maps: rbf cannot find OpenBLAS to pin its threads")
-    one, many = (run_on_blas_threads(n, tmp_path) for n in (1, threads))
+    one, many = (run_threaded(tmp_path, OPENBLAS_NUM_THREADS=str(n)) for n in (1, threads))
     assert many == one
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="np.power's cube follows numpy's SIMD dispatch: THREADED_RUN ends "
+                          "at 5.2803e8 with AVX-512 and at 6.6104e8 without it")
+def test_sacc_outputs_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    avx512 = [group for group in found if group == "X86_V4" or group.startswith("AVX512")]
+    if not avx512:
+        pytest.skip("numpy dispatches to no AVX-512 group here")
+    default, narrow = (run_threaded(tmp_path, OPENBLAS_NUM_THREADS="1",
+                                    NPY_DISABLE_CPU_FEATURES=disabled)
+                       for disabled in ("", " ".join(avx512)))
+    assert narrow == default
 
 
 def test_one_blas_thread_restores_the_previous_count_also_when_the_call_raises():

@@ -14,14 +14,17 @@ alters outputs on purpose rewrites the record with
     python tools/output_set.py OUTDIR > tools/output_set.sha256
 
 The printout opens with ``#`` lines that name what the digests depend on
-besides the code: the python and numpy versions, the BLAS, and the core
-type OpenBLAS picked its kernels for, which fixes the order of its sums.
-Checkouts older than the record print no ``#`` lines; drop them to compare.
+besides the code: the python, numpy and scipy versions, the BLAS, the core
+type OpenBLAS picked its kernels for, which fixes the order of its sums,
+and the SIMD groups numpy dispatches to at run time ("none" when every
+group above its baseline is disabled, as ``NPY_DISABLE_CPU_FEATURES`` can
+do), which fix the last bits of ``np.power`` and so of the surrogate's
+cubed distances. Checkouts older than the record print fewer ``#`` lines;
+drop them to compare.
 
 One BLAS thread is pinned before numpy loads, because the thread count can
-reorder floating-point sums. The runs use relative ``--out`` directories
-inside OUTDIR, so the manifests do not depend on where OUTDIR is. The
-package is imported from this checkout's ``src``.
+reorder floating-point sums. The package is imported from this checkout's
+``src``.
 """
 
 import contextlib
@@ -34,10 +37,10 @@ import sys
 from pathlib import Path
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
-os.environ.pop("COOPEVO_OUTDIR", None)  # it would override every --out
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 
 from coopevo import cli  # noqa: E402
 
@@ -76,12 +79,17 @@ def openblas_core() -> str:
 
 
 def environment() -> list[str]:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    # "found" is absent when no group above the baseline is dispatched to
+    simd = config["SIMD Extensions"].get("found") or ["none"]
     return [
         f"# python {platform.python_version()}",
         f"# numpy {np.__version__}",
+        f"# scipy {scipy.__version__}",
         f"# blas {blas.get('name')} {blas.get('version')}",
         f"# openblas-core {openblas_core()}",
+        f"# numpy-simd {' '.join(simd)}",
     ]
 
 
